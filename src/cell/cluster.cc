@@ -40,6 +40,7 @@ Cluster::Cluster(size_t cells, uint32_t objects_per_page,
     cm_.cell_commits.push_back(
         &metrics_.counter("cell.commits." + std::to_string(i + 1)));
   }
+  cm_.session = SessionCounters::Register(metrics_);
 }
 
 Database* Cluster::CellOf(Uid uid) {
@@ -269,14 +270,15 @@ Cluster::StatsSnapshot Cluster::Stats() {
         static_cast<int64_t>(decision_log_.current_segment()));
   }
   // The cluster's own registry (cell.* mix counters, 2PC latency, decision
-  // log, the cluster trace buffer's health) passes through unlabeled.
+  // log, ClusterSession outcomes, the cluster trace buffer's health)
+  // passes through unlabeled.
   StatsSnapshot out = metrics_.Snapshot();
   for (const auto& c : cells_) {
     const std::string label = "|cell=" + std::to_string(c->tag());
     StatsSnapshot cell = c->db().Stats();
     // Counters are rates: the cluster-wide value is the sum.  A family the
-    // cluster registry also owns (trace.*) sums in as well — the facade
-    // counts every buffer, cluster-level and per-cell.
+    // cluster registry also owns (trace.*, session.*) sums in as well — the
+    // facade counts every buffer and session, cluster-level and per-cell.
     for (const auto& [name, value] : cell.counters) {
       out.counters[name] += value;
     }

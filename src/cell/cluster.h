@@ -9,6 +9,7 @@
 
 #include "cell/cell.h"
 #include "common/latch.h"
+#include "core/retry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/scatter.h"
@@ -18,7 +19,7 @@ namespace orion {
 
 /// Cluster-level metric handles (resolved once at construction, same
 /// discipline as `EngineMetrics`): transaction mix, 2PC prepare latency,
-/// and per-cell commit counters.
+/// per-cell commit counters, and the `ClusterSession` retry outcomes.
 struct ClusterMetrics {
   /// Transactions whose write set stayed in one cell (fast path).
   obs::Counter* txn_single = nullptr;
@@ -34,6 +35,10 @@ struct ClusterMetrics {
   obs::Gauge* decision_log_segment = nullptr;
   /// Commits applied per cell, indexed by `tag - 1`.
   std::vector<obs::Counter*> cell_commits;
+  /// `session.*` outcomes of every `ClusterSession` on this cluster; the
+  /// cells' own `session.*` count their per-cell `Session`s, and
+  /// `Stats()` sums the two.
+  SessionCounters session;
 };
 
 /// A root-affine sharded database: N independent cells (tags 1..N), a

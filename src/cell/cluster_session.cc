@@ -1,80 +1,17 @@
 #include "cell/cluster_session.h"
 
-#include <algorithm>
-#include <thread>
-
-#include "obs/trace.h"
-
 namespace orion {
-
-namespace {
-
-/// Same split-mix jitter as core/session.cc, thread-local for the same
-/// reason: no two workers share a backoff pattern.
-uint64_t NextJitter() {
-  thread_local uint64_t state = reinterpret_cast<uintptr_t>(&state) | 1;
-  state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-  return state >> 33;
-}
-
-}  // namespace
 
 ClusterSession::ClusterSession(Cluster* cluster, SessionOptions options)
     : cluster_(cluster), options_(options) {}
 
-bool ClusterSession::IsRetryable(const Status& status) {
-  return status.code() == StatusCode::kDeadlock ||
-         status.code() == StatusCode::kLockTimeout ||
-         status.code() == StatusCode::kSchemaConflict;
-}
-
-void ClusterSession::Backoff(int attempt) {
-  const uint64_t jitter = NextJitter() % 100;  // [0, 100)
-  auto base = options_.backoff_base.count() << std::min(attempt, 12);
-  base = std::min<decltype(base)>(base, options_.backoff_cap.count());
-  const auto us = base / 2 + (base * jitter) / 100;
-  if (us > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
-  }
-}
-
 Status ClusterSession::Run(
     const std::function<Status(ClusterTransaction&)>& fn) {
-  // §13 root span on the CLUSTER's trace buffer: a cross-cell commit's
-  // spans — per-cell prepares, each cell's WAL wait, the decision — all
-  // collect into one tree here, not scattered across per-cell rings.
-  obs::TraceRoot trace_root(&cluster_->trace(), "session.run");
-  Status last = Status::Ok();
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) {
-      ++stats_.retries;
-      Backoff(attempt - 1);
-    }
-    ClusterTransaction txn(cluster_, options_.lock_timeout, options_.user);
-    Status result = fn(txn);
-    if (result.ok()) {
-      result = txn.Commit();
-      if (result.ok()) {
-        ++stats_.commits;
-        return result;
-      }
-    } else {
-      // The retry loop keeps the operation's own status; abort-on-abort
-      // still finishes the transaction.
-      (void)txn.Abort();
-    }
-    if (!IsRetryable(result)) {
-      ++stats_.failures;
-      trace_root.MarkError();
-      return result;
-    }
-    last = result;
-  }
-  ++stats_.failures;
-  trace_root.MarkError();
-  return Status::Timeout("cluster session retry budget (" +
-                         std::to_string(options_.max_retries) +
-                         ") exhausted; last conflict: " + last.message());
+  // The root span goes on the CLUSTER's trace buffer: a cross-cell
+  // commit's spans (per-cell prepares, each cell's WAL wait, the decision)
+  // collect into one tree, not scattered across per-cell rings.
+  return RunWithRetries(cluster_, cluster_->trace(), options_, stats_,
+                        cluster_->cluster_metrics().session, fn);
 }
 
 }  // namespace orion

@@ -9,10 +9,11 @@
 namespace orion {
 
 /// The cluster counterpart of `Session`: one per worker thread, same
-/// options, same retry contract.  `Run` brackets the closure in a
-/// `ClusterTransaction`; conflict outcomes (kDeadlock, kLockTimeout,
-/// kSchemaConflict) from any participating cell — including a 2PC prepare
-/// refusal — abort every participant, back off, and re-run the closure.
+/// options, same retry loop (`RunWithRetries`).  `Run` brackets the
+/// closure in a `ClusterTransaction`; conflict outcomes (`IsRetryable`)
+/// from any participating cell — including a 2PC prepare refusal — abort
+/// every participant, back off, and re-run the closure.  Outcomes count
+/// into the cluster registry's `session.*` counters.
 ///
 /// Not thread-safe; create one per thread.  The Cluster it drives is.
 /// Like `Session`, a ClusterSession keeps no thread-affine state between
@@ -33,9 +34,6 @@ class ClusterSession {
   const SessionOptions& options() const { return options_; }
 
  private:
-  static bool IsRetryable(const Status& status);
-  void Backoff(int attempt);
-
   Cluster* cluster_;
   SessionOptions options_;
   SessionStats stats_;

@@ -57,10 +57,7 @@ Database::Database(uint32_t objects_per_page, CellTag cell_tag,
   em_.txn_commit_us = &metrics_.histogram("txn.commit_us");
   em_.txn_abort_us = &metrics_.histogram("txn.abort_us");
   em_.txn_journal_size = &metrics_.histogram("txn.journal_size");
-  em_.session_commits = &metrics_.counter("session.commits");
-  em_.session_retries = &metrics_.counter("session.retries");
-  em_.session_failures = &metrics_.counter("session.failures");
-  em_.session_backoff_us = &metrics_.counter("session.backoff_us");
+  em_.session = SessionCounters::Register(metrics_);
   em_.read_txns = &metrics_.counter("mvcc.read_txns");
   em_.reclaim_passes = &metrics_.counter("reclaim.passes");
   em_.reclaim_zero_passes = &metrics_.counter("reclaim.zero_passes");

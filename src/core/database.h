@@ -10,6 +10,7 @@
 #include "authz/authorization_manager.h"
 #include "common/clock.h"
 #include "core/commit_pipeline.h"
+#include "core/retry.h"
 #include "common/epoch.h"
 #include "common/latch.h"
 #include "common/result.h"
@@ -50,10 +51,7 @@ struct EngineMetrics {
   obs::Histogram* txn_commit_us = nullptr;
   obs::Histogram* txn_abort_us = nullptr;
   obs::Histogram* txn_journal_size = nullptr;
-  obs::Counter* session_commits = nullptr;
-  obs::Counter* session_retries = nullptr;
-  obs::Counter* session_failures = nullptr;
-  obs::Counter* session_backoff_us = nullptr;
+  SessionCounters session;
   obs::Counter* read_txns = nullptr;
   obs::Counter* reclaim_passes = nullptr;
   obs::Counter* reclaim_zero_passes = nullptr;

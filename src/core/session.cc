@@ -1,91 +1,13 @@
 #include "core/session.h"
 
-#include <algorithm>
-#include <thread>
-
-#include "obs/trace.h"
-
 namespace orion {
 
-namespace {
-
-/// Per-thread jitter state (split-mix style), seeded from the thread's
-/// stack address so no two worker threads share a backoff pattern — and,
-/// unlike per-session state, uncontended even if sessions are pooled.
-uint64_t NextJitter() {
-  thread_local uint64_t state =
-      reinterpret_cast<uintptr_t>(&state) | 1;
-  state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-  return state >> 33;
-}
-
-}  // namespace
-
 Session::Session(Database* db, SessionOptions options)
-    : db_(db), options_(options), em_(&db->engine_metrics()) {}
-
-bool Session::IsRetryable(const Status& status) {
-  // kSchemaConflict (§10): the transaction ran into a DDL fence or
-  // committed-epoch bump; re-running the closure sees the post-DDL schema.
-  return status.code() == StatusCode::kDeadlock ||
-         status.code() == StatusCode::kLockTimeout ||
-         status.code() == StatusCode::kSchemaConflict;
-}
-
-void Session::Backoff(int attempt) {
-  // Exponential base with ±50% jitter so two sessions that deadlocked each
-  // other do not re-collide in lockstep.
-  const uint64_t jitter = NextJitter() % 100;  // [0, 100)
-  auto base = options_.backoff_base.count() << std::min(attempt, 12);
-  base = std::min<decltype(base)>(base, options_.backoff_cap.count());
-  const auto us = base / 2 + (base * jitter) / 100;
-  if (us > 0) {
-    em_->session_backoff_us->Add(static_cast<uint64_t>(us));
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
-  }
-}
+    : db_(db), options_(options) {}
 
 Status Session::Run(const std::function<Status(TransactionContext&)>& fn) {
-  // §13 root span: every span the attempts below record — txn outcomes,
-  // lock waits, WAL waits — parents into this trace's tree.  A failed
-  // session (deadlock, timeout, exhausted retries) is marked so the
-  // flight recorder retains the whole tree.
-  obs::TraceRoot trace_root(&db_->trace(), "session.run");
-  Status last = Status::Ok();
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) {
-      ++stats_.retries;
-      em_->session_retries->Inc();
-      Backoff(attempt - 1);
-    }
-    TransactionContext txn(db_, options_.lock_timeout, options_.user);
-    Status result = fn(txn);
-    if (result.ok()) {
-      result = txn.Commit();
-      if (result.ok()) {
-        ++stats_.commits;
-        em_->session_commits->Inc();
-        return result;
-      }
-    } else {
-      // The retry loop keeps the operation's own status; abort-on-abort
-      // still finishes the transaction.
-      (void)txn.Abort();
-    }
-    if (!IsRetryable(result)) {
-      ++stats_.failures;
-      em_->session_failures->Inc();
-      trace_root.MarkError();
-      return result;
-    }
-    last = result;
-  }
-  ++stats_.failures;
-  em_->session_failures->Inc();
-  trace_root.MarkError();
-  return Status::Timeout("session retry budget (" +
-                         std::to_string(options_.max_retries) +
-                         ") exhausted; last conflict: " + last.message());
+  return RunWithRetries(db_, db_->trace(), options_, stats_,
+                        db_->engine_metrics().session, fn);
 }
 
 }  // namespace orion

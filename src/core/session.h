@@ -7,7 +7,9 @@
 #include <string>
 
 #include "core/read_transaction.h"
+#include "core/retry.h"
 #include "core/transaction.h"
+#include "obs/trace.h"
 
 namespace orion {
 
@@ -20,7 +22,9 @@ struct SessionOptions {
   /// Retry budget: conflict aborts absorbed before `Run` gives up with
   /// kTimeout.
   int max_retries = 16;
-  /// First backoff; doubles per retry (plus jitter) up to `backoff_cap`.
+  /// First backoff.  The un-jittered delay doubles per retry until it
+  /// reaches `backoff_cap`; each sleep is then jittered into [x/2, 3x/2)
+  /// of it, so the longest sleep is just under 1.5x `backoff_cap`.
   std::chrono::microseconds backoff_base{100};
   std::chrono::microseconds backoff_cap{20000};
   /// Non-empty: run transactions with §6 authorization checks as this user.
@@ -54,7 +58,7 @@ struct SessionStats {
 /// is safe under hand-off synchronization: a Session object keeps NO
 /// thread-affine state between `Run` calls.  The backoff jitter RNG is
 /// deliberately `thread_local` (per OS thread, not per session — see
-/// `NextJitter` in session.cc), so a session that hops threads between
+/// `Backoff` in core/retry.h), so a session that hops threads between
 /// requests just draws from the new thread's stream; and the §13 ambient
 /// trace context is installed and restored *inside* `Run` by its
 /// `TraceRoot`, so nothing ambient leaks past a `Run` return.  The only
@@ -69,9 +73,10 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Runs `fn` transactionally.  `fn` returning OK commits; kDeadlock /
-  /// kLockTimeout (from `fn` or from the commit) aborts and retries up to
-  /// the `max_retries` budget, after which `Run` returns kTimeout; any
+  /// Runs `fn` transactionally.  `fn` returning OK commits; a retryable
+  /// conflict (`IsRetryable`: kDeadlock / kLockTimeout / kSchemaConflict,
+  /// from `fn` or from the commit) aborts and retries up to the
+  /// `max_retries` budget, after which `Run` returns kTimeout; any
   /// other error aborts and is returned as-is.  `fn` must be safe to
   /// re-execute (it sees a rolled-back database).
   Status Run(const std::function<Status(TransactionContext&)>& fn);
@@ -87,15 +92,60 @@ class Session {
   const SessionOptions& options() const { return options_; }
 
  private:
-  /// True for the conflict outcomes the retry loop absorbs.
-  static bool IsRetryable(const Status& status);
-  void Backoff(int attempt);
-
   Database* db_;
   SessionOptions options_;
   SessionStats stats_;
-  const EngineMetrics* em_;
 };
+
+/// The transaction retry contract shared by `Session::Run` and
+/// `ClusterSession::Run`: opens a "session.run" trace root on `trace`, runs
+/// `fn` in a fresh `Txn(owner, lock_timeout, user)` per attempt, commits on
+/// OK, aborts otherwise, and re-runs retryable outcomes through `Retry`.
+/// Every outcome lands in `stats` and in `counters`.  Templated on the
+/// transaction type so the hot path pays no extra indirection.
+template <typename Txn, typename Owner>
+Status RunWithRetries(Owner* owner, obs::TraceBuffer& trace,
+                      const SessionOptions& options, SessionStats& stats,
+                      const SessionCounters& counters,
+                      const std::function<Status(Txn&)>& fn) {
+  // §13 root span: every span the attempts record (txn outcomes, lock
+  // waits, WAL waits, 2PC prepares) parents into this trace's tree.  A
+  // failed run is marked so the flight recorder retains the whole tree.
+  obs::TraceRoot trace_root(&trace, "session.run");
+  const RetryPolicy policy{options.max_retries, options.backoff_base,
+                           options.backoff_cap, counters.backoff_us};
+  Status result;
+  const bool exhausted = Retry(policy, [&](int attempt) {
+    if (attempt > 0) {
+      ++stats.retries;
+      counters.retries->Inc();
+    }
+    Txn txn(owner, options.lock_timeout, options.user);
+    result = fn(txn);
+    if (result.ok()) {
+      result = txn.Commit();
+    } else {
+      // The loop keeps the operation's own status; abort-on-abort still
+      // finishes the transaction.
+      (void)txn.Abort();
+    }
+    return IsRetryable(result);
+  });
+  if (result.ok()) {
+    ++stats.commits;
+    counters.commits->Inc();
+    return result;
+  }
+  ++stats.failures;
+  counters.failures->Inc();
+  trace_root.MarkError();
+  if (!exhausted) {
+    return result;
+  }
+  return Status::Timeout("session retry budget (" +
+                         std::to_string(options.max_retries) +
+                         ") exhausted; last conflict: " + result.message());
+}
 
 }  // namespace orion
 

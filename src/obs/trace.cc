@@ -4,6 +4,7 @@
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
+#include <thread>
 
 #include "obs/metrics.h"
 
@@ -113,17 +114,29 @@ void TraceBuffer::Record(const char* name, uint64_t start_us,
     dropped_counter_->Inc();
   }
   Slot& slot = slots_[ticket & mask_];
-  // Invalidate, fill, publish: a reader that sees the same nonzero seq on
-  // both sides of its field reads got exactly this ticket's payload.
-  slot.seq.store(0, std::memory_order_release);
-  slot.name.store(name, std::memory_order_relaxed);
-  slot.start_us.store(start_us, std::memory_order_relaxed);
-  slot.duration_us.store(duration_us, std::memory_order_relaxed);
-  slot.tag.store(tag, std::memory_order_relaxed);
-  slot.thread_id.store(ThisThreadTraceId(), std::memory_order_relaxed);
-  slot.trace_id.store(ctx.trace_id, std::memory_order_relaxed);
-  slot.span_id.store(ctx.span_id, std::memory_order_relaxed);
-  slot.parent_id.store(parent_id, std::memory_order_relaxed);
+  // Claim, fill, publish.  Two writers a whole ring apart can reach one
+  // slot at once; the claim keeps their field stores from interleaving
+  // under a valid seq.  The release stores order the claim before every
+  // field, so a reader that sees the same published seq on both sides of
+  // its (acquire) field reads got exactly this ticket's payload.
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  while (seq == kWriting ||
+         !slot.seq.compare_exchange_weak(seq, kWriting,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed)) {
+    if (seq == kWriting) {
+      std::this_thread::yield();
+      seq = slot.seq.load(std::memory_order_relaxed);
+    }
+  }
+  slot.name.store(name, std::memory_order_release);
+  slot.start_us.store(start_us, std::memory_order_release);
+  slot.duration_us.store(duration_us, std::memory_order_release);
+  slot.tag.store(tag, std::memory_order_release);
+  slot.thread_id.store(ThisThreadTraceId(), std::memory_order_release);
+  slot.trace_id.store(ctx.trace_id, std::memory_order_release);
+  slot.span_id.store(ctx.span_id, std::memory_order_release);
+  slot.parent_id.store(parent_id, std::memory_order_release);
   slot.seq.store(ticket + 1, std::memory_order_release);
 }
 
@@ -170,18 +183,18 @@ std::vector<TraceEvent> TraceBuffer::Snapshot() const {
   for (size_t i = 0; i < capacity_; ++i) {
     const Slot& slot = slots_[i];
     const uint64_t seq_before = slot.seq.load(std::memory_order_acquire);
-    if (seq_before == 0) {
+    if (seq_before == 0 || seq_before == kWriting) {
       continue;  // empty or mid-write
     }
     TraceEvent e;
-    e.name = slot.name.load(std::memory_order_relaxed);
-    e.start_us = slot.start_us.load(std::memory_order_relaxed);
-    e.duration_us = slot.duration_us.load(std::memory_order_relaxed);
-    e.tag = slot.tag.load(std::memory_order_relaxed);
-    e.thread_id = slot.thread_id.load(std::memory_order_relaxed);
-    e.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-    e.span_id = slot.span_id.load(std::memory_order_relaxed);
-    e.parent_id = slot.parent_id.load(std::memory_order_relaxed);
+    e.name = slot.name.load(std::memory_order_acquire);
+    e.start_us = slot.start_us.load(std::memory_order_acquire);
+    e.duration_us = slot.duration_us.load(std::memory_order_acquire);
+    e.tag = slot.tag.load(std::memory_order_acquire);
+    e.thread_id = slot.thread_id.load(std::memory_order_acquire);
+    e.trace_id = slot.trace_id.load(std::memory_order_acquire);
+    e.span_id = slot.span_id.load(std::memory_order_acquire);
+    e.parent_id = slot.parent_id.load(std::memory_order_acquire);
     const uint64_t seq_after = slot.seq.load(std::memory_order_acquire);
     if (seq_after != seq_before || e.name == nullptr) {
       continue;  // overwritten while reading: drop rather than return torn

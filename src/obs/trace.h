@@ -149,8 +149,10 @@ class TraceBuffer {
   const TraceOptions& options() const { return options_; }
 
  private:
-  /// seq == 0: slot empty or being (re)written; seq == ticket + 1 with both
-  /// reads equal: the payload belongs to that ticket and is consistent.
+  /// seq == 0: slot empty; seq == kWriting: a writer owns the slot; seq ==
+  /// ticket + 1 with both reads equal: the payload belongs to that ticket
+  /// and is consistent.
+  static constexpr uint64_t kWriting = ~uint64_t{0};
   struct Slot {
     std::atomic<uint64_t> seq{0};
     std::atomic<const char*> name{nullptr};

@@ -6,34 +6,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <thread>
+#include <numeric>
 #include <utility>
+
+#include "core/retry.h"
 
 namespace orion::rpc {
 
 namespace {
-
-bool ReadFull(int fd, void* buf, size_t n) {
-  auto* p = static_cast<uint8_t*>(buf);
-  size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, p + got, n - got, 0);
-    if (r == 0) {
-      return false;
-    }
-    if (r < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    got += static_cast<size_t>(r);
-  }
-  return true;
-}
 
 bool WriteAll(int fd, std::string_view data) {
   size_t sent = 0;
@@ -79,32 +61,11 @@ Result<std::unique_ptr<Client>> Client::Connect(const std::string& host,
 }
 
 Client::Client(int fd, ClientOptions options)
-    : fd_(fd),
-      options_(std::move(options)),
-      jitter_state_(reinterpret_cast<uintptr_t>(this) | 1) {}
+    : fd_(fd), options_(std::move(options)) {}
 
 Client::~Client() {
   if (fd_ >= 0) {
     ::close(fd_);
-  }
-}
-
-uint64_t Client::NextJitter() {
-  uint64_t z = (jitter_state_ += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-void Client::Backoff(int attempt) {
-  // Same shape as Session::Backoff: exponential base, ±50% jitter, so a
-  // fleet of shed clients does not re-storm the server in lockstep.
-  const uint64_t jitter = NextJitter() % 100;  // [0, 100)
-  auto base = options_.backoff_base.count() << std::min(attempt, 12);
-  base = std::min<decltype(base)>(base, options_.backoff_cap.count());
-  const auto us = base / 2 + (base * jitter) / 100;
-  if (us > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
   }
 }
 
@@ -210,85 +171,55 @@ Status Client::Flight(const std::vector<const Request*>& requests,
 }
 
 Result<std::string> Client::Call(const Request& request) {
-  std::vector<const Request*> reqs{&request};
-  std::vector<WireResponse> responses(1);
-  for (int attempt = 0;; ++attempt) {
-    const Status transport = Flight(reqs, responses);
-    if (!transport.ok()) {
-      ++stats_.failures;
-      return transport;
-    }
-    if (responses[0].status == WireStatus::kOk) {
-      return std::move(responses[0].payload);
-    }
-    if (responses[0].status != WireStatus::kRetryable ||
-        attempt >= options_.max_retries) {
-      ++stats_.failures;
-      return FromWireStatus(responses[0].status,
-                            std::move(responses[0].payload));
-    }
-    ++stats_.retries;
-    Backoff(attempt);
-  }
+  return std::move(CallBatch(std::span<const Request>(&request, 1))[0]);
 }
 
 std::vector<Result<std::string>> Client::CallBatch(
-    const std::vector<Request>& requests) {
+    std::span<const Request> requests) {
   const size_t n = requests.size();
-  struct Outcome {
-    bool transport_fail = false;
-    Status transport;
-    WireStatus status = WireStatus::kOk;
-    std::string payload;
-  };
-  std::vector<Outcome> out(n);
+  std::vector<WireResponse> out(n);
   std::vector<size_t> pending(n);
-  for (size_t i = 0; i < n; ++i) {
-    pending[i] = i;
-  }
-  for (int attempt = 0; !pending.empty(); ++attempt) {
-    std::vector<const Request*> reqs;
-    reqs.reserve(pending.size());
+  std::iota(pending.begin(), pending.end(), 0);
+  const RetryPolicy policy{options_.max_retries, options_.backoff_base,
+                           options_.backoff_cap};
+  // A member still RETRYABLE when the budget runs out keeps that status,
+  // which `FromWireStatus` surfaces as kTimeout.
+  Retry(policy, [&](int attempt) {
+    if (attempt > 0) {
+      stats_.retries += pending.size();
+    }
+    std::vector<const Request*> flight;
+    flight.reserve(pending.size());
     for (const size_t idx : pending) {
-      reqs.push_back(&requests[idx]);
+      flight.push_back(&requests[idx]);
     }
     std::vector<WireResponse> responses(pending.size());
-    const Status transport = Flight(reqs, responses);
+    const Status transport = Flight(flight, responses);
     if (!transport.ok()) {
+      // Transport failures are kInternal (see `Flight`).
       for (const size_t idx : pending) {
-        out[idx].transport_fail = true;
-        out[idx].transport = transport;
+        out[idx] = {WireStatus::kInternal, transport.message()};
       }
-      break;
+      return false;
     }
     std::vector<size_t> still;
     for (size_t k = 0; k < pending.size(); ++k) {
-      const size_t idx = pending[k];
-      out[idx].status = responses[k].status;
-      out[idx].payload = std::move(responses[k].payload);
-      if (responses[k].status == WireStatus::kRetryable &&
-          attempt < options_.max_retries) {
-        still.push_back(idx);
+      if (responses[k].status == WireStatus::kRetryable) {
+        still.push_back(pending[k]);
       }
+      out[pending[k]] = std::move(responses[k]);
     }
-    if (still.empty()) {
-      break;
-    }
-    stats_.retries += still.size();
     pending = std::move(still);
-    Backoff(attempt);
-  }
+    return !pending.empty();
+  });
   std::vector<Result<std::string>> results;
   results.reserve(n);
-  for (Outcome& o : out) {
-    if (o.transport_fail) {
-      ++stats_.failures;
-      results.push_back(o.transport);
-    } else if (o.status == WireStatus::kOk) {
-      results.push_back(std::move(o.payload));
+  for (WireResponse& r : out) {
+    if (r.status == WireStatus::kOk) {
+      results.push_back(std::move(r.payload));
     } else {
       ++stats_.failures;
-      results.push_back(FromWireStatus(o.status, std::move(o.payload)));
+      results.push_back(FromWireStatus(r.status, std::move(r.payload)));
     }
   }
   return results;

@@ -7,11 +7,13 @@
 // `CallBatch` (pipelining: every frame is written before any response is
 // read, so a batch pays one round-trip instead of N).
 //
-// Retry semantics mirror `Session::Run`: a RETRYABLE wire status —
-// server-side conflict or admission shed — is absorbed by exponential
-// backoff with jitter up to `max_retries`, after which it surfaces as
-// kTimeout.  Any other non-OK status is returned as-is.  `CallBatch`
-// retries only its retryable members.
+// Retries run through the engine's one retry loop (`Retry` in
+// core/retry.h, the loop under `Session::Run`): a RETRYABLE wire status —
+// server-side conflict or admission shed — is absorbed by the shared
+// jittered exponential backoff up to `max_retries`, after which it
+// surfaces as kTimeout.  Any other non-OK status is returned as-is.
+// `Call` is a one-request `CallBatch`; a batch re-sends only its
+// retryable members.
 //
 // Tracing (§14.6): each attempt captures a child context of the calling
 // thread's ambient trace (zero when untraced), sends it in the frame
@@ -26,6 +28,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,7 +45,9 @@ namespace orion::rpc {
 struct ClientOptions {
   /// Retry budget for RETRYABLE responses (then kTimeout), per request.
   int max_retries = 16;
-  /// First backoff; doubles per retry (plus jitter) up to the cap.
+  /// First backoff.  The un-jittered delay doubles per retry until it
+  /// reaches `backoff_cap`; each sleep is then jittered into [x/2, 3x/2)
+  /// of it, so the longest sleep is just under 1.5x `backoff_cap`.
   std::chrono::microseconds backoff_base{200};
   std::chrono::microseconds backoff_cap{50000};
   /// Response frames with a larger payload fail the call.
@@ -89,7 +94,7 @@ class Client {
   // --- Transports ------------------------------------------------------------
 
   /// Sends one request and waits for its response, retrying RETRYABLE
-  /// outcomes.  Returns the response payload.
+  /// outcomes (a one-element `CallBatch`).  Returns the response payload.
   Result<std::string> Call(const Request& request);
 
   /// Pipelined batch: writes all requests, then reads all responses (the
@@ -97,7 +102,7 @@ class Client {
   /// are re-sent in subsequent pipelined rounds until the shared retry
   /// budget is spent.  Result i corresponds to request i.
   std::vector<Result<std::string>> CallBatch(
-      const std::vector<Request>& requests);
+      std::span<const Request> requests);
 
   const ClientStats& stats() const { return stats_; }
 
@@ -113,13 +118,10 @@ class Client {
   /// (every subsequent call fails with kInternal).
   Status Flight(const std::vector<const Request*>& requests,
                 std::vector<WireResponse>& responses);
-  void Backoff(int attempt);
-  uint64_t NextJitter();
 
   int fd_;
   ClientOptions options_;
   uint64_t next_request_id_ = 1;
-  uint64_t jitter_state_;
   ClientStats stats_;
   bool broken_ = false;
 };

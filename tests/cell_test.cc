@@ -349,6 +349,119 @@ TEST(CellTwoPhaseCommit, CrossCellTransfersAreAtomicUnderConcurrency) {
   }
 }
 
+// ClusterSession runs through the same retry loop as Session, so its
+// outcomes show in the cluster's session.* counters: under try-lock
+// contention on one hot object, Cluster::Stats() must count exactly the
+// retries and commits the sessions report.
+TEST(CellSession, ContendedRetriesAndCommitsCountIntoClusterStats) {
+  constexpr int kThreads = 4;
+  constexpr int kIncrementsPerThread = 20;
+
+  Cluster cluster(2);
+  Fixture fx(cluster);
+  ClusterSession setup(&cluster);
+  Uid hot = kNilUid;
+  ASSERT_TRUE(setup
+                  .Run([&](ClusterTransaction& txn) -> Status {
+                    ORION_ASSIGN_OR_RETURN(
+                        hot, txn.Make("Assembly", {},
+                                      {{"Balance", Value::Integer(0)}}));
+                    return Status::Ok();
+                  })
+                  .ok());
+
+  SessionOptions opts;
+  opts.lock_timeout = milliseconds(0);  // every conflict goes to the loop
+  opts.max_retries = 10000;
+  opts.backoff_base = std::chrono::microseconds(20);
+  opts.backoff_cap = std::chrono::microseconds(2000);
+  std::vector<SessionStats> stats(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      ClusterSession session(&cluster, opts);
+      for (int i = 0; i < kIncrementsPerThread; ++i) {
+        Status s = session.Run([&](ClusterTransaction& txn) -> Status {
+          ORION_ASSIGN_OR_RETURN(const Object* o, txn.Read(hot));
+          const int64_t balance = o->Get("Balance").integer();
+          // Hold the S lock long enough that the others collide with it.
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          return txn.SetAttribute(hot, "Balance",
+                                  Value::Integer(balance + 1));
+        });
+        if (!s.ok()) {
+          failures.fetch_add(1);
+        }
+      }
+      stats[t] = session.stats();
+    });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+  ASSERT_EQ(failures.load(), 0);
+
+  uint64_t retries = 0;
+  uint64_t commits = setup.stats().commits;
+  for (const SessionStats& st : stats) {
+    retries += st.retries;
+    commits += st.commits;
+  }
+  EXPECT_GT(retries, 0u);
+  EXPECT_EQ(commits, 1u + kThreads * kIncrementsPerThread);
+  const Cluster::StatsSnapshot snap = cluster.Stats();
+  EXPECT_EQ(snap.counters.at("session.retries"), retries);
+  EXPECT_EQ(snap.counters.at("session.commits"), commits);
+  EXPECT_EQ(snap.counters.at("session.failures"), 0u);
+  EXPECT_GT(snap.counters.at("session.backoff_us"), 0u);
+
+  ReadTransaction r(cluster.CellOf(hot));
+  EXPECT_EQ(r.Get(hot).value()->Get("Balance").integer(),
+            kThreads * kIncrementsPerThread);
+}
+
+// The cluster mirror of MvccTest.RetryBudgetExhaustionReturnsTimeout: a
+// ClusterSession that cannot make progress gives up with kTimeout (the
+// retry budget), not with the per-attempt kLockTimeout.
+TEST(CellSession, RetryBudgetExhaustionReturnsTimeout) {
+  Cluster cluster(2);
+  Fixture fx(cluster);
+  ClusterSession setup(&cluster);
+  Uid root = kNilUid;
+  ASSERT_TRUE(setup
+                  .Run([&](ClusterTransaction& txn) -> Status {
+                    ORION_ASSIGN_OR_RETURN(
+                        root, txn.Make("Assembly", {},
+                                       {{"Balance", Value::Integer(0)}}));
+                    return Status::Ok();
+                  })
+                  .ok());
+
+  ClusterTransaction blocker(&cluster);
+  ASSERT_TRUE(blocker.SetAttribute(root, "Balance", Value::Integer(1)).ok());
+
+  SessionOptions opts;
+  opts.lock_timeout = milliseconds(0);  // try-lock
+  opts.max_retries = 2;
+  opts.backoff_base = std::chrono::microseconds(1);
+  opts.backoff_cap = std::chrono::microseconds(10);
+  ClusterSession session(&cluster, opts);
+  Status s = session.Run([&](ClusterTransaction& txn) -> Status {
+    return txn.SetAttribute(root, "Balance", Value::Integer(2));
+  });
+  EXPECT_EQ(s.code(), StatusCode::kTimeout) << s.ToString();
+  EXPECT_EQ(session.stats().retries, 2u);
+  EXPECT_EQ(session.stats().failures, 1u);
+  const Cluster::StatsSnapshot snap = cluster.Stats();
+  EXPECT_EQ(snap.counters.at("session.retries"), 2u);
+  EXPECT_EQ(snap.counters.at("session.failures"), 1u);
+
+  ASSERT_TRUE(blocker.Abort().ok());
+  ReadTransaction r(cluster.CellOf(root));
+  EXPECT_EQ(r.Get(root).value()->Get("Balance").integer(), 0);
+}
+
 // DDL fan-out vs pinned readers: a destructive schema change applies to
 // every cell under each cell's §10 fence, while a reader pinned before the
 // DDL keeps resolving the old schema and old values at its timestamp.

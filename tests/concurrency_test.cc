@@ -3,6 +3,7 @@
 // watches for races.  Every test ends with the whole-database invariant
 // sweep and asserts the lock table drained.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "core/retry.h"
 #include "core/session.h"
 #include "core/transaction.h"
 #include "invariants.h"
@@ -33,6 +35,49 @@ SessionOptions ContendedOptions() {
   opts.lock_timeout = milliseconds(250);
   opts.max_retries = 64;
   return opts;
+}
+
+// --- core/retry ----------------------------------------------------------
+
+// The one backoff function, driven with explicit jitter draws (no sleep):
+// retry k waits in [b/2, 3b/2) with b = min(base << min(k, 12), cap).
+TEST(ConcurrencyBackoffTest, DelayStaysInJitterBandAndSaturatesAtCap) {
+  using std::chrono::microseconds;
+  const RetryPolicy session_like{.max_retries = 16,
+                                 .backoff_base = microseconds(100),
+                                 .backoff_cap = microseconds(20000)};
+  // A cap the shift never reaches: the exponent itself stops at 12.
+  const RetryPolicy uncapped{.max_retries = 64,
+                             .backoff_base = microseconds(3),
+                             .backoff_cap = microseconds(int64_t{1} << 40)};
+  for (const RetryPolicy& policy : {session_like, uncapped}) {
+    for (int k = 0; k < 40; ++k) {
+      const int64_t b = std::min<int64_t>(
+          policy.backoff_base.count() << std::min(k, 12),
+          policy.backoff_cap.count());
+      int64_t lo = INT64_MAX;
+      int64_t hi = 0;
+      for (uint64_t draw = 0; draw < 300; ++draw) {
+        const int64_t d = BackoffDelay(policy, k, draw).count();
+        ASSERT_GE(d, b / 2) << "k=" << k << " draw=" << draw;
+        ASSERT_LT(2 * d, 3 * b) << "k=" << k << " draw=" << draw;
+        lo = std::min(lo, d);
+        hi = std::max(hi, d);
+      }
+      EXPECT_EQ(lo, b / 2) << "k=" << k;
+      EXPECT_EQ(hi, b / 2 + b * 99 / 100) << "k=" << k;
+      if (k >= 12) {
+        // Past attempt 12 the delay no longer grows.
+        EXPECT_EQ(BackoffDelay(policy, k, 37), BackoffDelay(policy, 12, 37));
+      }
+    }
+  }
+  // Session defaults: the un-jittered delay reaches the cap at retry 8,
+  // and the longest sleep is just under 1.5x the cap.
+  EXPECT_EQ(BackoffDelay(session_like, 7, 0), microseconds(6400));
+  EXPECT_EQ(BackoffDelay(session_like, 8, 0), microseconds(10000));
+  EXPECT_EQ(BackoffDelay(session_like, 8, 99), microseconds(29800));
+  EXPECT_EQ(BackoffDelay(uncapped, 40, 0), microseconds(3 * 4096 / 2));
 }
 
 // --- common/clock ---------------------------------------------------------

@@ -288,6 +288,36 @@ TEST(RpcAdmissionTest, ShedRequestsSurfaceAsTimeoutAfterRetryBudget) {
   EXPECT_EQ(server.metrics().connections->Value(), 0);
 }
 
+// `Call` is a one-request `CallBatch`, so the batch path carries every
+// retry: under full shedding each member spends its own budget (one retry
+// per member per round) and surfaces as kTimeout.
+TEST(RpcAdmissionTest, ShedBatchMembersSurfaceAsTimeoutAfterRetryBudget) {
+  std::unique_ptr<Cluster> cluster(NewCluster());
+  ServerOptions so;
+  so.max_in_flight = 0;  // shed everything
+  Server server(cluster.get(), so);
+  ASSERT_TRUE(server.Start().ok());
+
+  ClientOptions co;
+  co.max_retries = 2;
+  co.backoff_base = std::chrono::microseconds(50);
+  co.backoff_cap = std::chrono::microseconds(200);
+  auto client = Client::Connect("127.0.0.1", server.port(), co);
+  ASSERT_TRUE(client.ok());
+
+  const std::vector<Request> pings(3, PingRequest());
+  const std::vector<Result<std::string>> replies =
+      (*client)->CallBatch(pings);
+  ASSERT_EQ(replies.size(), pings.size());
+  for (const Result<std::string>& r : replies) {
+    EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
+  }
+  EXPECT_EQ((*client)->stats().retries, 6u);
+  EXPECT_EQ((*client)->stats().requests, 9u);
+  EXPECT_EQ((*client)->stats().failures, 3u);
+  server.Stop();
+}
+
 TEST(RpcAdmissionTest, ContendedClientsRetryThroughShedding) {
   std::unique_ptr<Cluster> cluster(NewCluster());
   ServerOptions so;
