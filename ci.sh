@@ -46,12 +46,14 @@ if [[ "$stage" == "all" || "$stage" == "tsan" ]]; then
   # TSan halts the process on the first report, so a pass here means zero
   # data races in everything these suites execute.  Mvcc covers the
   # lock-free read path; Snapshot covers SaveSnapshot-as-read-transaction;
-  # DdlConcurrency covers the §10 DDL-storm-vs-DML-hammer protocol.
+  # DdlConcurrency covers the §10 DDL-storm-vs-DML-hammer protocol;
+  # Notification covers change events derived on the commit path while
+  # subscribers drain from other threads.
   # The latch checker is also ON here (AUTO under sanitizers), so these
   # suites double as a multi-threaded rank-order torture test.
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-          -R 'Concurrency|ThreadSafeLogicalClock|ShardedTables|LockManager|Transaction|CompositeLocking|LockStress|Mvcc|Snapshot|Observability|LatchCheck|DdlConcurrency|Cell|Rpc'
+          -R 'Concurrency|ThreadSafeLogicalClock|ShardedTables|LockManager|Transaction|CompositeLocking|LockStress|Mvcc|Snapshot|Observability|LatchCheck|DdlConcurrency|Cell|Rpc|Notification'
 fi
 
 if [[ "$stage" == "all" || "$stage" == "asan" ]]; then

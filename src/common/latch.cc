@@ -29,12 +29,14 @@ const char* LatchRankName(LatchRank rank) {
       return "kTableShard";
     case LatchRank::kRecordChainShard:
       return "kRecordChainShard";
-    case LatchRank::kObserverList:
-      return "kObserverList";
     case LatchRank::kListenerList:
       return "kListenerList";
+    case LatchRank::kIndexList:
+      return "kIndexList";
     case LatchRank::kIndexPostings:
       return "kIndexPostings";
+    case LatchRank::kNotifications:
+      return "kNotifications";
     case LatchRank::kSegmentTable:
       return "kSegmentTable";
     case LatchRank::kPageTracker:

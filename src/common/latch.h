@@ -68,21 +68,15 @@ enum class LatchRank : uint16_t {
   kVersionRegistry = 110,
   /// ReadTsRegistry::mu_ — read-timestamp pins.
   kEpochRegistry = 120,
-  /// ObjectManager::observers_mu_ — held (shared) while live-path observer
-  /// callbacks run.  Callbacks traverse the object table (notification
-  /// composite-reach walks) and take index postings, so this ranks as a
-  /// coordinator, below the table shards.  Notify* is only ever entered
-  /// with at most the version registry held.
-  kObserverList = 150,
-
   // -- Commit gateway. ----------------------------------------------------
   /// RecordStore::commit_mu_.  The §7 "strict leaf" rule, machine-checked:
   /// no latch ranked at or above it may be held when it is acquired, so a
   /// subsystem latch can never nest AROUND a commit and the only latches
   /// acquired INSIDE one are the record store's own chains, the listener
-  /// list, and the index postings the listeners maintain (all ranked
-  /// above).  Publication phase 1 (live-state copies through the object
-  /// table and version registry) runs before this latch is taken.
+  /// list, the index postings the listeners maintain, and the notification
+  /// state the end-of-commit callback updates (all ranked above).
+  /// Publication phase 1 (live-state copies through the object table and
+  /// version registry) runs before this latch is taken.
   kCommit = 200,
 
   /// WalManager::mu_ — the per-cell changelog append queue and group-commit
@@ -105,9 +99,18 @@ enum class LatchRank : uint16_t {
   /// run, which take index postings.
   kListenerList = 410,
 
+  /// IndexManager::mu_ — the list of attribute indexes.  Held to scan or
+  /// mutate the list only; FindIndex resolves subclass coverage (the schema
+  /// lattice) under it.  Indexes are built and destroyed outside it.
+  kIndexList = 490,
+
   // -- Subsystem leaves: never held across a call into another subsystem. --
-  /// AttributeIndex::mu_ — live + versioned postings.
+  /// AttributeIndex::mu_ — the interval postings.
   kIndexPostings = 500,
+  /// NotificationManager::mu_ — subscriptions, event queues and flags.  A
+  /// leaf: the end-of-commit callback takes it under kCommit after walking
+  /// the record chains with it released.
+  kNotifications = 505,
   /// ObjectStore::seg_mu_ — segment/page chains.
   kSegmentTable = 510,
   /// PageAccessTracker::mu_ — page-touch accounting.

@@ -1,10 +1,52 @@
 #include "notify/notification_manager.h"
 
 #include <algorithm>
+#include <deque>
 
-#include "query/traversal.h"
+#include "query/object_view.h"
 
 namespace orion {
+
+namespace {
+
+/// Composite parents of a state: reverse composite references plus, for a
+/// generic instance, its generic references (§5.3).
+std::vector<Uid> CompositeParents(const Object* obj) {
+  std::vector<Uid> out;
+  if (obj == nullptr) {
+    return out;
+  }
+  for (const ReverseRef& r : obj->reverse_refs()) {
+    out.push_back(r.parent);
+  }
+  for (const GenericRef& g : obj->generic_refs()) {
+    out.push_back(g.parent);
+  }
+  return out;
+}
+
+/// Attributes whose value differs between two committed states, sorted
+/// (an absent value reads as Nil).
+std::vector<std::string> ChangedAttributes(const Object* before,
+                                           const Object& after) {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : after.values()) {
+    if ((before == nullptr ? Value() : before->Get(name)) != value) {
+      out.push_back(name);
+    }
+  }
+  if (before != nullptr) {
+    for (const auto& [name, value] : before->values()) {
+      if (!value.is_null() && after.values().count(name) == 0) {
+        out.push_back(name);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+}  // namespace
 
 std::string_view ChangeKindName(ChangeKind kind) {
   switch (kind) {
@@ -17,12 +59,12 @@ std::string_view ChangeKindName(ChangeKind kind) {
 }
 
 NotificationManager::NotificationManager(ObjectManager* objects)
-    : objects_(objects) {
-  objects_->AddObserver(this);
+    : objects_(objects), records_(objects->record_store()) {
+  records_->AddListener(this);
 }
 
 NotificationManager::~NotificationManager() {
-  objects_->RemoveObserver(this);
+  records_->RemoveListener(this);
 }
 
 Status NotificationManager::Subscribe(const std::string& subscriber,
@@ -30,9 +72,10 @@ Status NotificationManager::Subscribe(const std::string& subscriber,
   if (subscriber.empty()) {
     return Status::InvalidArgument("subscriber name must not be empty");
   }
-  if (objects_->Peek(object) == nullptr) {
+  if (!records_->ExistsAt(object, records_->watermark())) {
     return Status::NotFound("object " + object.ToString());
   }
+  LatchGuard g(mu_);
   for (const Subscription& s : subscriptions_) {
     if (s.subscriber == subscriber && s.root == object) {
       return Status::AlreadyExists("already subscribed");
@@ -45,7 +88,7 @@ Status NotificationManager::Subscribe(const std::string& subscriber,
 
 Status NotificationManager::Unsubscribe(const std::string& subscriber,
                                         Uid object) {
-  Prune();
+  LatchGuard g(mu_);
   auto it = std::find_if(subscriptions_.begin(), subscriptions_.end(),
                          [&](const Subscription& s) {
                            return s.subscriber == subscriber &&
@@ -60,6 +103,7 @@ Status NotificationManager::Unsubscribe(const std::string& subscriber,
 
 std::vector<ChangeEvent> NotificationManager::Drain(
     const std::string& subscriber) {
+  LatchGuard g(mu_);
   auto it = queues_.find(subscriber);
   if (it == queues_.end()) {
     return {};
@@ -70,89 +114,115 @@ std::vector<ChangeEvent> NotificationManager::Drain(
 }
 
 size_t NotificationManager::Pending(const std::string& subscriber) const {
+  LatchGuard g(mu_);
   auto it = queues_.find(subscriber);
   return it == queues_.end() ? 0 : it->second.size();
 }
 
 bool NotificationManager::IsFlagged(const std::string& subscriber,
                                     Uid object) const {
+  LatchGuard g(mu_);
   auto it = flags_.find(subscriber);
   return it != flags_.end() && it->second.count(object) > 0;
 }
 
 void NotificationManager::ClearFlag(const std::string& subscriber,
                                     Uid object) {
+  LatchGuard g(mu_);
   auto it = flags_.find(subscriber);
   if (it != flags_.end()) {
     it->second.erase(object);
   }
 }
 
-std::vector<const NotificationManager::Subscription*>
-NotificationManager::Reached(Uid object) const {
-  std::vector<const Subscription*> out;
-  // Ancestors of the changed object (for composite subscriptions).
-  std::vector<Uid> chain{object};
-  auto ancestors = AncestorsOf(*objects_, object);
-  if (ancestors.ok()) {
-    chain.insert(chain.end(), ancestors->begin(), ancestors->end());
+void NotificationManager::OnObjectPublished(Uid uid, const Object* before,
+                                            const Object* after,
+                                            uint64_t commit_ts) {
+  (void)commit_ts;
+  if (after == nullptr && before == nullptr) {
+    return;
   }
-  for (const Subscription& s : subscriptions_) {
-    if (s.root == object) {
-      out.push_back(&s);
-      continue;
-    }
-    if (s.include_components &&
-        std::find(chain.begin(), chain.end(), s.root) != chain.end()) {
-      out.push_back(&s);
+  pending_.push_back(Change{
+      uid, after == nullptr, CompositeParents(before),
+      after == nullptr ? std::vector<std::string>{}
+                       : ChangedAttributes(before, *after)});
+}
+
+std::vector<std::unordered_set<Uid>> NotificationManager::AncestorsOf(
+    const std::vector<Change>& changes, uint64_t commit_ts) const {
+  // The chains at commit_ts hold the hierarchy after the commit (no newer
+  // commit can install while the commit latch is held, and a chain's newest
+  // record is never trimmed).  The hierarchy before it differs only in the
+  // objects this commit published, whose earlier parents are in `changes`.
+  SnapshotView view(*records_, *objects_->schema(), commit_ts);
+  std::unordered_map<Uid, const Change*> published;
+  for (const Change& c : changes) {
+    published.emplace(c.uid, &c);
+  }
+  std::vector<std::unordered_set<Uid>> out(changes.size());
+  for (size_t i = 0; i < changes.size(); ++i) {
+    const bool before = changes[i].deleted;
+    std::deque<Uid> frontier{changes[i].uid};
+    while (!frontier.empty()) {
+      const Uid cur = frontier.front();
+      frontier.pop_front();
+      auto it = published.find(cur);
+      for (Uid parent : before && it != published.end()
+                            ? it->second->before_parents
+                            : CompositeParents(view.Lookup(cur))) {
+        if (out[i].insert(parent).second) {
+          frontier.push_back(parent);
+        }
+      }
     }
   }
   return out;
 }
 
-void NotificationManager::Deliver(const Object& object, ChangeKind kind,
-                                  const std::string& attribute) {
-  if (delivering_) {
-    return;  // guard against re-entrant traversal side effects
+void NotificationManager::OnCommitPublished(uint64_t commit_ts) {
+  const std::vector<Change> changes = std::move(pending_);
+  pending_.clear();
+  bool composite = false;
+  {
+    LatchGuard g(mu_);
+    if (changes.empty() || subscriptions_.empty()) {
+      return;
+    }
+    composite = std::any_of(subscriptions_.begin(), subscriptions_.end(),
+                            [](const Subscription& s) {
+                              return s.include_components;
+                            });
   }
-  delivering_ = true;
-  for (const Subscription* s : Reached(object.uid())) {
-    ChangeEvent event;
-    event.seq = ++next_seq_;
-    event.object = object.uid();
-    event.subscription_root = s->root;
-    event.kind = kind;
-    event.attribute = attribute;
-    queues_[s->subscriber].push_back(std::move(event));
-    flags_[s->subscriber].insert(s->root);
+  const std::vector<std::unordered_set<Uid>> ancestors =
+      composite ? AncestorsOf(changes, commit_ts)
+                : std::vector<std::unordered_set<Uid>>(changes.size());
+  LatchGuard g(mu_);
+  for (size_t i = 0; i < changes.size(); ++i) {
+    const Change& c = changes[i];
+    for (const Subscription& s : subscriptions_) {
+      if (c.uid != s.root &&
+          !(s.include_components && ancestors[i].count(s.root) > 0)) {
+        continue;
+      }
+      auto deliver = [&](ChangeKind kind, const std::string& attribute) {
+        queues_[s.subscriber].push_back(
+            ChangeEvent{++next_seq_, c.uid, s.root, kind, attribute});
+        flags_[s.subscriber].insert(s.root);
+      };
+      if (c.deleted) {
+        deliver(ChangeKind::kDeleted, "");
+      }
+      for (const std::string& attribute : c.attributes) {
+        deliver(ChangeKind::kUpdated, attribute);
+      }
+    }
   }
-  delivering_ = false;
-  // A deleted subscription root takes its subscriptions with it — but only
-  // once the object is physically gone.  Deletion closures pre-notify
-  // every doomed object while the graph is intact, so within that batch
-  // the root still exists and later component events must still reach its
-  // composite subscriptions (Prune is a no-op until the physical removal).
-  Prune();
-}
-
-void NotificationManager::Prune() {
-  subscriptions_.erase(
-      std::remove_if(subscriptions_.begin(), subscriptions_.end(),
-                     [&](const Subscription& s) {
-                       return objects_->Peek(s.root) == nullptr;
-                     }),
-      subscriptions_.end());
-}
-
-void NotificationManager::OnUpdate(const Object& object,
-                                   const std::string& attribute,
-                                   const Value& old_value) {
-  (void)old_value;
-  Deliver(object, ChangeKind::kUpdated, attribute);
-}
-
-void NotificationManager::OnDelete(const Object& object) {
-  Deliver(object, ChangeKind::kDeleted, "");
+  // A deleted root takes its subscriptions with it.
+  std::erase_if(subscriptions_, [&](const Subscription& s) {
+    return std::any_of(changes.begin(), changes.end(), [&](const Change& c) {
+      return c.deleted && c.uid == s.root;
+    });
+  });
 }
 
 }  // namespace orion

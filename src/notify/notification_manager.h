@@ -7,8 +7,9 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/result.h"
+#include "common/latch.h"
 #include "object/object_manager.h"
+#include "object/record_store.h"
 
 namespace orion {
 
@@ -41,19 +42,37 @@ struct ChangeEvent {
 ///  * message-based: events queue per subscriber and are read with
 ///    `Drain`.
 ///
-/// The manager observes the object manager; reverse-reference bookkeeping
-/// and CC catch-up do not notify (they are not value changes).
-class NotificationManager : public ObjectObserver {
+/// Events are derived from the record store's committed publication stream
+/// only, so uncommitted and aborted work never notifies.  A published state
+/// yields one kUpdated event per attribute whose value differs from the
+/// previous committed state, and a tombstone yields kDeleted; a
+/// republication that changes no value (reverse-reference bookkeeping,
+/// schema catch-up, version derivation) is silent.
+///
+/// Composite reach resolves against committed state: a change reaches a
+/// composite subscription when the subscription root is an ancestor of the
+/// changed object in the committed part hierarchy — after the commit for an
+/// update, before it for a deletion (so a cascade still reaches the owner
+/// of the deleted design).  A tombstone of a subscription's root delivers
+/// its kDeleted event and then drops the subscription.
+///
+/// Thread-safety: every member function may be called from any thread.
+/// Subscriptions, queues and flags sit behind one leaf latch
+/// (kNotifications).  Every commit whose OnCommitPublished starts after
+/// Subscribe returns is delivered to the new subscription.
+class NotificationManager : public RecordStoreListener {
  public:
+  /// Listens to `objects`' record store, which must be attached.
   explicit NotificationManager(ObjectManager* objects);
   ~NotificationManager() override;
 
   NotificationManager(const NotificationManager&) = delete;
   NotificationManager& operator=(const NotificationManager&) = delete;
 
-  /// Subscribes `subscriber` to changes of `object`; with
-  /// `include_components` the subscription covers the whole composite
-  /// object rooted there (current and future components).
+  /// Subscribes `subscriber` to changes of `object`, which must exist in
+  /// committed state; with `include_components` the subscription covers
+  /// the whole composite object rooted there (current and future
+  /// components).
   Status Subscribe(const std::string& subscriber, Uid object,
                    bool include_components);
 
@@ -72,10 +91,10 @@ class NotificationManager : public ObjectObserver {
   bool IsFlagged(const std::string& subscriber, Uid object) const;
   void ClearFlag(const std::string& subscriber, Uid object);
 
-  // --- ObjectObserver --------------------------------------------------------
-  void OnUpdate(const Object& object, const std::string& attribute,
-                const Value& old_value) override;
-  void OnDelete(const Object& object) override;
+  // --- RecordStoreListener ---------------------------------------------------
+  void OnObjectPublished(Uid uid, const Object* before, const Object* after,
+                         uint64_t commit_ts) override;
+  void OnCommitPublished(uint64_t commit_ts) override;
 
  private:
   struct Subscription {
@@ -84,24 +103,36 @@ class NotificationManager : public ObjectObserver {
     bool include_components = false;
   };
 
-  /// Subscriptions reached by a change to `object`: direct watches plus
-  /// composite watches on any ancestor.
-  std::vector<const Subscription*> Reached(Uid object) const;
+  /// One published record, reduced to what event derivation needs.
+  struct Change {
+    Uid uid;
+    bool deleted = false;
+    std::vector<Uid> before_parents;      // composite parents before
+    std::vector<std::string> attributes;  // attributes whose value changed
+  };
 
-  void Deliver(const Object& object, ChangeKind kind,
-               const std::string& attribute);
-
-  /// Drops subscriptions whose root object no longer exists.
-  void Prune();
+  /// Composite ancestors of each change's object in the committed
+  /// hierarchy at `commit_ts` — before the commit for a deletion.  Reads
+  /// the record chains, so it runs with no latch of this manager held.
+  std::vector<std::unordered_set<Uid>> AncestorsOf(
+      const std::vector<Change>& changes, uint64_t commit_ts) const;
 
   ObjectManager* objects_;
+  RecordStore* records_;
+
+  /// The current publication's changes.  Filled by OnObjectPublished and
+  /// consumed by OnCommitPublished; both run under the record store's
+  /// commit latch, which orders one publication's callbacks before the
+  /// next one's, so this needs no latch of its own.
+  std::vector<Change> pending_;
+
+  mutable Latch mu_{"notify.state", LatchRank::kNotifications};
+  /// Everything below is guarded by mu_.
   std::vector<Subscription> subscriptions_;
   std::unordered_map<std::string, std::vector<ChangeEvent>> queues_;
   /// (subscriber, root) pairs currently flagged.
   std::unordered_map<std::string, std::unordered_set<Uid>> flags_;
   uint64_t next_seq_ = 0;
-  /// Re-entrancy guard: deliveries triggered while computing ancestors.
-  bool delivering_ = false;
 };
 
 }  // namespace orion

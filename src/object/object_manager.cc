@@ -28,7 +28,7 @@ Result<Uid> ObjectManager::AllocateAndPlace(ClassId cls, ObjectRole role,
       MakeUid(cell_tag_, next_uid_.fetch_add(1, std::memory_order_relaxed) + 1);
   Object obj(uid, cls, role, schema_->CurrentCc());
   obj.set_created_at(clock_->Tick());
-  Object* stored = objects_.Emplace(uid, std::move(obj)).first;
+  objects_.Emplace(uid, std::move(obj));
   extents_.Update(cls, [&](std::unordered_set<Uid>& s) { s.insert(uid); });
   if (store_ != nullptr && def->segment != kInvalidSegment) {
     bool clustered = false;
@@ -52,7 +52,6 @@ Result<Uid> ObjectManager::AllocateAndPlace(ClassId cls, ObjectRole role,
       }
     }
   }
-  NotifyCreate(*stored);
   MarkRecord(uid);
   return uid;
 }
@@ -269,7 +268,6 @@ Status ObjectManager::CheckAttach(const AttributeSpec& spec, Uid child,
 Status ObjectManager::AddForwardRef(Object* parent, const AttributeSpec& spec,
                                     Uid child) {
   Value& slot = parent->mutable_values()[spec.name];
-  const Value old = slot;
   if (spec.is_set) {
     if (slot.is_null()) {
       slot = Value::Set({});
@@ -283,7 +281,6 @@ Status ObjectManager::AddForwardRef(Object* parent, const AttributeSpec& spec,
                                    spec.name + "'");
     }
     slot.AddSetRef(child);
-    NotifyUpdate(*parent, spec.name, old);
     MarkRecord(parent->uid());
     return Status::Ok();
   }
@@ -293,7 +290,6 @@ Status ObjectManager::AddForwardRef(Object* parent, const AttributeSpec& spec,
         "' already references an object; detach it first");
   }
   slot = Value::Ref(child);
-  NotifyUpdate(*parent, spec.name, old);
   MarkRecord(parent->uid());
   return Status::Ok();
 }
@@ -480,12 +476,12 @@ Result<Uid> ObjectManager::Make(ClassId cls,
   if (all_attrs.ok()) {
     for (const AttributeSpec& spec : *all_attrs) {
       if (!spec.initial.is_null() && !spec.is_composite()) {
-        SetValueNotify(obj, spec.name, spec.initial);
+        SetValue(obj, spec.name, spec.initial);
       }
     }
   }
   for (ResolvedAttr& ra : resolved_attrs) {
-    SetValueNotify(obj, ra.spec.name, ra.value);
+    SetValue(obj, ra.spec.name, ra.value);
     if (ra.spec.is_composite()) {
       for (Uid child : ra.value.ReferencedUids()) {
         Object* child_obj = Peek(child);
@@ -537,9 +533,7 @@ Status ObjectManager::RemoveComponent(Uid child, Uid parent,
                             " is not referenced by attribute '" + attribute +
                             "' of " + parent.ToString());
   }
-  const Value old = slot;
   slot.RemoveReference(child);
-  NotifyUpdate(*parent_obj, attribute, old);
   MarkRecord(parent);
   RemoveCompositeBacklink(*this, child_obj, *parent_obj, attribute);
   return Status::Ok();
@@ -557,7 +551,7 @@ Status ObjectManager::SetAttribute(Uid uid, const std::string& attribute,
   ORION_RETURN_IF_ERROR(CheckValueAgainstSpec(spec, value));
 
   if (!spec.is_composite()) {
-    SetValueNotify(obj, attribute, std::move(value));
+    SetValue(obj, attribute, std::move(value));
     return Status::Ok();
   }
 
@@ -591,7 +585,7 @@ Status ObjectManager::SetAttribute(Uid uid, const std::string& attribute,
   for (Uid child : added) {
     AddCompositeBacklink(*this, Peek(child), *obj, spec);
   }
-  SetValueNotify(obj, attribute, std::move(value));
+  SetValue(obj, attribute, std::move(value));
   return Status::Ok();
 }
 
@@ -693,16 +687,7 @@ Result<std::vector<Uid>> ObjectManager::ComputeDeletionClosure(Uid root) {
   return order;
 }
 
-void ObjectManager::PreNotifyDeletions(const std::vector<Uid>& doomed) {
-  for (Uid uid : doomed) {
-    const Object* obj = Peek(uid);
-    if (obj != nullptr) {
-      NotifyDelete(*obj);
-    }
-  }
-}
-
-Status ObjectManager::DeleteSingle(Uid uid, bool notify) {
+Status ObjectManager::DeleteSingle(Uid uid) {
   RecordStore::Batch publish(records_);
   Object* obj = Peek(uid);
   if (obj == nullptr) {
@@ -715,12 +700,9 @@ Status ObjectManager::DeleteSingle(Uid uid, bool notify) {
     Object* parent = Peek(r.parent);
     if (parent != nullptr) {
       auto it = parent->mutable_values().find(r.attribute);
-      if (it != parent->mutable_values().end()) {
-        const Value old = it->second;
-        if (it->second.RemoveReference(uid) > 0) {
-          NotifyUpdate(*parent, r.attribute, old);
-          MarkRecord(parent->uid());
-        }
+      if (it != parent->mutable_values().end() &&
+          it->second.RemoveReference(uid) > 0) {
+        MarkRecord(parent->uid());
       }
       if (obj->is_version()) {
         DecrementGenericRef(Peek(obj->generic()), GenericParentKey(*parent),
@@ -738,9 +720,6 @@ Status ObjectManager::DeleteSingle(Uid uid, bool notify) {
         RemoveCompositeBacklink(*this, child_obj, *obj, spec.name);
       }
     }
-  }
-  if (notify) {
-    NotifyDelete(*obj);
   }
   if (store_ != nullptr) {
     // Best-effort: the placement may already be gone (never placed, or
@@ -767,9 +746,8 @@ Status ObjectManager::Delete(Uid uid) {
   }
   ORION_ASSIGN_OR_RETURN(std::vector<Uid> doomed,
                          ComputeDeletionClosure(uid));
-  PreNotifyDeletions(doomed);
   for (Uid d : doomed) {
-    ORION_RETURN_IF_ERROR(DeleteSingle(d, /*notify=*/false));
+    ORION_RETURN_IF_ERROR(DeleteSingle(d));
   }
   return Status::Ok();
 }
@@ -874,53 +852,20 @@ Status ObjectManager::RestoreObject(Object obj) {
   }
   const ClassId cls = obj.class_id();
   extents_.Update(cls, [&](std::unordered_set<Uid>& s) { s.insert(uid); });
-  Object* stored = objects_.Emplace(uid, std::move(obj)).first;
+  objects_.Emplace(uid, std::move(obj));
   RestoreNextUid(uid.raw);
   if (store_ != nullptr && def->segment != kInvalidSegment) {
     // Re-placement of a restored object; a full segment just means the
     // object lands unclustered, which Place reports but never fails on.
     (void)store_->Place(uid, def->segment);
   }
-  NotifyCreate(*stored);
   MarkRecord(uid);
   return Status::Ok();
 }
 
-void ObjectManager::RemoveObserver(ObjectObserver* observer) {
-  SharedLatchWriteGuard g(observers_mu_);
-  observers_.erase(std::remove(observers_.begin(), observers_.end(),
-                               observer),
-                   observers_.end());
-}
-
-void ObjectManager::NotifyCreate(const Object& obj) {
-  SharedLatchReadGuard g(observers_mu_);
-  for (ObjectObserver* o : observers_) {
-    o->OnCreate(obj);
-  }
-}
-
-void ObjectManager::NotifyUpdate(const Object& obj,
-                                 const std::string& attribute,
-                                 const Value& old_value) {
-  SharedLatchReadGuard g(observers_mu_);
-  for (ObjectObserver* o : observers_) {
-    o->OnUpdate(obj, attribute, old_value);
-  }
-}
-
-void ObjectManager::NotifyDelete(const Object& obj) {
-  SharedLatchReadGuard g(observers_mu_);
-  for (ObjectObserver* o : observers_) {
-    o->OnDelete(obj);
-  }
-}
-
-void ObjectManager::SetValueNotify(Object* obj, const std::string& attribute,
-                                   Value value) {
-  Value old = obj->Get(attribute);
+void ObjectManager::SetValue(Object* obj, const std::string& attribute,
+                             Value value) {
   obj->Set(attribute, std::move(value));
-  NotifyUpdate(*obj, attribute, old);
   MarkRecord(obj->uid());
 }
 
@@ -929,9 +874,7 @@ Status ObjectManager::EraseValue(Uid uid, const std::string& attribute) {
   if (obj == nullptr) {
     return Status::NotFound("object " + uid.ToString());
   }
-  Value old = obj->Get(attribute);
   obj->Erase(attribute);
-  NotifyUpdate(*obj, attribute, old);
   MarkRecord(uid);
   return Status::Ok();
 }
@@ -941,7 +884,6 @@ void ObjectManager::EraseRaw(Uid uid) {
   if (obj == nullptr) {
     return;
   }
-  NotifyDelete(*obj);
   extents_.Update(obj->class_id(),
                   [&](std::unordered_set<Uid>& s) { s.erase(uid); });
   if (store_ != nullptr) {
@@ -957,7 +899,6 @@ void ObjectManager::OverwriteRaw(Object obj) {
   const Uid uid = obj.uid();
   Object* existing = objects_.Find(uid);
   if (existing != nullptr) {
-    NotifyDelete(*existing);
     if (existing->class_id() != obj.class_id()) {
       // Class changed: only the fenced type-change sweep takes this path
       // (DML is drained, so nobody peeks the object concurrently) and a
@@ -973,7 +914,6 @@ void ObjectManager::OverwriteRaw(Object obj) {
       // of a live object before holding its instance lock.
       existing->RestoreMutableState(std::move(obj));
     }
-    NotifyCreate(*existing);
     MarkRecord(uid);
     return;
   }
@@ -986,8 +926,7 @@ void ObjectManager::OverwriteRaw(Object obj) {
     // object lands unclustered, which Place reports but never fails on.
     (void)store_->Place(uid, def->segment);
   }
-  Object* stored = objects_.Emplace(uid, std::move(obj)).first;
-  NotifyCreate(*stored);
+  objects_.Emplace(uid, std::move(obj));
   MarkRecord(uid);
 }
 

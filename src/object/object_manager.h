@@ -29,28 +29,6 @@ struct ParentBinding {
   std::string attribute;
 };
 
-/// Hook into object lifecycle and value changes.  Observers power the
-/// attribute indexes (src/query/index.h) and the change-notification
-/// subsystem (src/notify) without coupling them into the manager.
-///
-/// Contract: OnCreate fires after the object is registered (values may
-/// still be empty; subsequent installs arrive as OnUpdate); OnUpdate fires
-/// after the new value is stored, with the previous value; OnDelete fires
-/// just before removal, with the object still intact.  Reverse-reference
-/// bookkeeping and CC catch-up are not value changes and do not notify.
-class ObjectObserver {
- public:
-  virtual ~ObjectObserver() = default;
-  virtual void OnCreate(const Object& object) { (void)object; }
-  virtual void OnUpdate(const Object& object, const std::string& attribute,
-                        const Value& old_value) {
-    (void)object;
-    (void)attribute;
-    (void)old_value;
-  }
-  virtual void OnDelete(const Object& object) { (void)object; }
-};
-
 /// Named attribute values for `make` / `SetAttribute`.
 using AttrValues = std::vector<std::pair<std::string, Value>>;
 
@@ -75,8 +53,7 @@ using AttrValues = std::vector<std::pair<std::string, Value>>;
 /// access to one object's state — that is the lock protocol's job: callers
 /// (TransactionContext / Session) must hold the appropriate S/X instance
 /// locks before reading or mutating an object, which also keeps `Object*`
-/// results of `Peek`/`Access` alive.  Observer registration is synchronized
-/// too, but observers themselves must be internally thread-safe.
+/// results of `Peek`/`Access` alive.
 class ObjectManager {
  public:
   ObjectManager(SchemaManager* schema, ObjectStore* store,
@@ -174,15 +151,7 @@ class ObjectManager {
   /// (clearing the parents' forward references), clears reverse references
   /// in its surviving components, and frees placement and extent.  No
   /// recursion — VersionManager drives §5 deletion with this.
-  /// With `notify` false the OnDelete event is suppressed (the caller
-  /// already pre-notified the whole deletion closure while the composite
-  /// graph was still intact).
-  Status DeleteSingle(Uid uid, bool notify = true);
-
-  /// Fires OnDelete for every listed object *before* physical deletion, so
-  /// observers (e.g. composite-subscription notification) still see the
-  /// intact part hierarchy.  Callers then delete with notify=false.
-  void PreNotifyDeletions(const std::vector<Uid>& doomed);
+  Status DeleteSingle(Uid uid);
 
   // --- Access ------------------------------------------------------------------
 
@@ -251,19 +220,10 @@ class ObjectManager {
     }
   }
 
-  // --- Observers --------------------------------------------------------------
+  // --- Raw mutation ----------------------------------------------------------
 
-  /// Registers an observer (not owned); fires for all subsequent events.
-  /// Observers are invoked from whichever session thread performs the
-  /// mutation and must be internally thread-safe under concurrent sessions.
-  void AddObserver(ObjectObserver* observer) {
-    SharedLatchWriteGuard g(observers_mu_);
-    observers_.push_back(observer);
-  }
-  void RemoveObserver(ObjectObserver* observer);
-
-  /// Erases the stored value of `attribute` on `uid`, notifying observers
-  /// (schema evolution drops values this way).
+  /// Erases the stored value of `attribute` on `uid` and reports the change
+  /// to the record store (schema evolution drops values this way).
   Status EraseValue(Uid uid, const std::string& attribute);
 
   /// Removes `uid` without touching any other object (no backlink or
@@ -313,12 +273,8 @@ class ObjectManager {
   Status AddForwardRef(Object* parent, const AttributeSpec& spec, Uid child);
   void ApplyLogEntry(Object* o, const LogEntry& entry);
 
-  /// Stores a value and notifies observers with the previous one.
-  void SetValueNotify(Object* obj, const std::string& attribute, Value value);
-  void NotifyCreate(const Object& obj);
-  void NotifyUpdate(const Object& obj, const std::string& attribute,
-                    const Value& old_value);
-  void NotifyDelete(const Object& obj);
+  /// Stores a value and reports the change to the record store.
+  void SetValue(Object* obj, const std::string& attribute, Value value);
 
   SchemaManager* schema_;
   ObjectStore* store_;
@@ -329,11 +285,6 @@ class ObjectManager {
   /// Class extents, striped by class id.
   ShardedMap<ClassId, std::unordered_set<Uid>> extents_{
       "extents.shard", LatchRank::kTableShard};
-  /// Held shared while observer callbacks run (they take index postings,
-  /// ranked above).
-  mutable SharedLatch observers_mu_{"objmgr.observers",
-                                    LatchRank::kObserverList};
-  std::vector<ObjectObserver*> observers_;
   std::atomic<uint64_t> next_uid_{0};
   CellTag cell_tag_ = 0;
   ForeignClassResolver foreign_class_of_;

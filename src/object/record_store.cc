@@ -235,6 +235,9 @@ uint64_t RecordStore::PublishBatch(const std::vector<Uid>& object_uids,
       // of history (DESIGN.md §12).
       redo_hook_(ts, std::move(redo_body));
     }
+    for (RecordStoreListener* listener : listeners_) {
+      listener->OnCommitPublished(ts);
+    }
   }
   if (c_publishes_ != nullptr) {
     c_publishes_->Inc();
@@ -485,11 +488,13 @@ size_t RecordStore::Trim(uint64_t min_active_ts) {
 }
 
 void RecordStore::AddListener(RecordStoreListener* listener) {
+  LatchGuard commit(commit_mu_);
   LatchGuard lg(listeners_mu_);
   listeners_.push_back(listener);
 }
 
 void RecordStore::RemoveListener(RecordStoreListener* listener) {
+  LatchGuard commit(commit_mu_);
   LatchGuard lg(listeners_mu_);
   listeners_.erase(
       std::remove(listeners_.begin(), listeners_.end(), listener),

@@ -47,18 +47,27 @@ struct GenericRecord {
   std::shared_ptr<GenericRecord> prev;
 };
 
-/// Callback interface for committed publications.  `OnObjectPublished` fires
-/// under the store's publication mutex, after the record is installed:
-/// `before` is the state of the previous newest record (null if none or
-/// tombstone), `after` the newly published state (null for a tombstone).
-/// Only *committed* states ever reach a listener — the attribute index
-/// builds its versioned postings from this stream, which is what keeps
-/// uncommitted transactional writes out of index lookups.
+/// Callback interface for committed publications — the engine's one change
+/// stream.  Only *committed* states ever reach a listener: the attribute
+/// index builds its postings from this stream and the notification manager
+/// its change events, which is what keeps uncommitted and aborted
+/// transactional writes out of both.
 class RecordStoreListener {
  public:
   virtual ~RecordStoreListener() = default;
+  /// Fires under the commit latch and the listener-list latch, after the
+  /// record is installed and before the watermark makes it visible:
+  /// `before` is the state of the previous newest record (null if none or
+  /// tombstone), `after` the newly published state (null for a tombstone).
+  /// The pointers are valid only for the duration of the call.
   virtual void OnObjectPublished(Uid uid, const Object* before,
                                  const Object* after, uint64_t commit_ts) = 0;
+  /// Fires once per publication, after every record of `commit_ts` went
+  /// through OnObjectPublished and the watermark reached `commit_ts`.  The
+  /// commit latch is still held (so calls arrive in commit order, one at a
+  /// time) but the listener-list latch is not: a listener may read the
+  /// record chains here.
+  virtual void OnCommitPublished(uint64_t commit_ts) { (void)commit_ts; }
   /// Fired after a trim pass; listeners may discard history that ended at or
   /// before `min_active_ts`.
   virtual void OnTrim(uint64_t min_active_ts) { (void)min_active_ts; }
@@ -244,6 +253,9 @@ class RecordStore {
   /// zero-progress passes.
   size_t Trim(uint64_t min_active_ts);
 
+  /// Both take the commit latch, so no publication is in flight while the
+  /// list changes: once RemoveListener returns, the listener is never
+  /// called again.
   void AddListener(RecordStoreListener* listener);
   void RemoveListener(RecordStoreListener* listener);
 
@@ -303,7 +315,8 @@ class RecordStore {
   /// nothing held except the coordinator latches ranked below it (the
   /// version registry publishes GenericRecords while holding its own
   /// latch); inside it, only the store's own chain shards, the listener
-  /// list, and the index postings the listeners feed may be taken.
+  /// list, the WAL queue, and the latches of the listeners themselves may
+  /// be taken.
   Latch commit_mu_{"recordstore.commit", LatchRank::kCommit};
   std::atomic<uint64_t> watermark_{0};
 
@@ -317,6 +330,8 @@ class RecordStore {
   ShardedMap<ClassId, std::unordered_set<Uid>> extent_members_{
       "recordstore.extents.shard", LatchRank::kRecordChainShard};
 
+  /// Writers of `listeners_` hold commit_mu_ AND listeners_mu_; readers
+  /// hold either (publication holds commit_mu_, Trim listeners_mu_).
   mutable Latch listeners_mu_{"recordstore.listeners",
                               LatchRank::kListenerList};
   std::vector<RecordStoreListener*> listeners_;

@@ -37,61 +37,51 @@ AttributeIndex::AttributeIndex(ObjectManager* objects, RecordStore* records,
       cls_(cls),
       attribute_(std::move(attribute)),
       metrics_(metrics) {
-  {
-    // Scan the table BEFORE latching the postings: the table walk takes
-    // extent/object shard latches (kTableShard), which rank below mu_
-    // (kIndexPostings) and so may not be acquired under it.
-    std::vector<std::pair<Uid, Value>> seed;
-    for (Uid uid : objects_->InstancesOfDeep(cls_)) {
-      const Object* obj = objects_->Peek(uid);
-      if (obj != nullptr) {
-        seed.emplace_back(uid, obj->Get(attribute_));
-      }
+  if (records_ == nullptr) {
+    return;
+  }
+  // Listen first, then seed, so no publication falls between the two.  The
+  // scan visits a chain under its shard latch, which a publication's
+  // install also takes before calling OnObjectPublished: either the scan
+  // sees the new record, or the scan's postings exist before the callback
+  // closes and opens them.  Seeded intervals start at 0, not at the
+  // record's commit timestamp, so a reader pinned before the index was
+  // created still finds every uid; the extra candidates for timestamps
+  // that predate a value are harmless because every select re-verifies.
+  records_->AddListener(this);
+  Uid chain_uid = kNilUid;
+  uint64_t newer_ts = kOpenTs;  // commit_ts of the record visited before
+  records_->ForEachObjectRecord([&](Uid uid, const ObjectRecord& record) {
+    if (uid != chain_uid) {
+      chain_uid = uid;  // chains are visited newest record first
+      newer_ts = kOpenTs;
+    }
+    const uint64_t remove_ts = newer_ts;
+    newer_ts = record.commit_ts;
+    if (record.state == nullptr || !Covers(*record.state)) {
+      return;
     }
     LatchGuard g(mu_);
-    for (const auto& [uid, value] : seed) {
-      IndexValue(uid, value);
+    for (const std::string& key : KeysOf(record.state->Get(attribute_))) {
+      std::vector<Posting>& v = postings_[key];
+      if (remove_ts == kOpenTs) {
+        // A racing publication of this very record may already have opened
+        // the posting at its commit timestamp; widen it instead of stacking
+        // a duplicate.
+        auto open = std::find_if(v.begin(), v.end(), [&](const Posting& p) {
+          return p.uid == uid && p.remove_ts == kOpenTs;
+        });
+        if (open != v.end()) {
+          open->add_ts = 0;
+          continue;
+        }
+      }
+      v.push_back(Posting{uid, 0, remove_ts});
     }
-  }
-  objects_->AddObserver(this);
-  if (records_ != nullptr) {
-    // Listen first, then seed: a publication racing with the seed scan at
-    // worst leaves a never-closed (false-positive) posting, never a missing
-    // one.  Seeded postings open at add_ts = 0 — not the record's commit
-    // timestamp, which is the NEWEST commit for that value and would make
-    // LookupAt silently omit the uid for a reader pinned before the index
-    // was created.  Opening at 0 keeps every pinned reader's candidate set
-    // complete; the resulting false positives for timestamps that predate
-    // the value are harmless because SelectAt re-verifies every candidate.
-    records_->AddListener(this);
-    records_->ForEachObjectRecord([&](Uid uid, const ObjectRecord& record) {
-      if (record.state == nullptr || !Covers(*record.state)) {
-        return;
-      }
-      LatchGuard g(mu_);
-      for (const std::string& key : KeysOf(record.state->Get(attribute_))) {
-        std::vector<Posting>& v = versioned_[key];
-        // A racing publication may already have opened this (key, uid) at
-        // its commit timestamp; widen it instead of stacking a duplicate.
-        Posting* earliest = nullptr;
-        for (Posting& p : v) {
-          if (p.uid == uid &&
-              (earliest == nullptr || p.add_ts < earliest->add_ts)) {
-            earliest = &p;
-          }
-        }
-        if (earliest != nullptr) {
-          earliest->add_ts = 0;
-        } else {
-          v.push_back(Posting{uid, 0, kOpenTs});
-        }
-      }
-    });
-  }
+  });
 }
 
 AttributeIndex::~AttributeIndex() {
-  objects_->RemoveObserver(this);
   if (records_ != nullptr) {
     records_->RemoveListener(this);
   }
@@ -101,27 +91,9 @@ bool AttributeIndex::Covers(const Object& object) const {
   return objects_->schema()->IsSubclassOf(object.class_id(), cls_);
 }
 
-void AttributeIndex::IndexValue(Uid uid, const Value& value) {
-  for (const std::string& key : KeysOf(value)) {
-    postings_[key].insert(uid);
-  }
-}
-
-void AttributeIndex::UnindexValue(Uid uid, const Value& value) {
-  for (const std::string& key : KeysOf(value)) {
-    auto it = postings_.find(key);
-    if (it != postings_.end()) {
-      it->second.erase(uid);
-      if (it->second.empty()) {
-        postings_.erase(it);
-      }
-    }
-  }
-}
-
 void AttributeIndex::OpenPosting(Uid uid, const std::string& key,
                                  uint64_t ts) {
-  std::vector<Posting>& v = versioned_[key];
+  std::vector<Posting>& v = postings_[key];
   for (const Posting& p : v) {
     if (p.uid == uid && p.remove_ts == kOpenTs) {
       return;  // already open (seed/publication overlap); keep the earlier
@@ -132,8 +104,8 @@ void AttributeIndex::OpenPosting(Uid uid, const std::string& key,
 
 void AttributeIndex::ClosePosting(Uid uid, const std::string& key,
                                   uint64_t ts) {
-  auto it = versioned_.find(key);
-  if (it == versioned_.end()) {
+  auto it = postings_.find(key);
+  if (it == postings_.end()) {
     return;
   }
   for (Posting& p : it->second) {
@@ -148,12 +120,7 @@ std::vector<Uid> AttributeIndex::Lookup(const Value& value) const {
   if (metrics_.lookups != nullptr) {
     metrics_.lookups->Inc();
   }
-  LatchGuard g(mu_);
-  auto it = postings_.find(KeyOf(value));
-  if (it == postings_.end()) {
-    return {};
-  }
-  return std::vector<Uid>(it->second.begin(), it->second.end());
+  return Covering(value, kNowTs);
 }
 
 std::vector<Uid> AttributeIndex::LookupAt(const Value& value,
@@ -161,11 +128,16 @@ std::vector<Uid> AttributeIndex::LookupAt(const Value& value,
   if (metrics_.lookups_at != nullptr) {
     metrics_.lookups_at->Inc();
   }
+  return Covering(value, ts);
+}
+
+std::vector<Uid> AttributeIndex::Covering(const Value& value,
+                                          uint64_t ts) const {
   std::vector<Uid> out;
   {
     LatchGuard g(mu_);
-    auto it = versioned_.find(KeyOf(value));
-    if (it == versioned_.end()) {
+    auto it = postings_.find(KeyOf(value));
+    if (it == postings_.end()) {
       return out;
     }
     for (const Posting& p : it->second) {
@@ -182,8 +154,11 @@ std::vector<Uid> AttributeIndex::LookupAt(const Value& value,
 size_t AttributeIndex::entry_count() const {
   LatchGuard g(mu_);
   size_t n = 0;
-  for (const auto& [key, uids] : postings_) {
-    n += uids.size();
+  for (const auto& [key, v] : postings_) {
+    n += static_cast<size_t>(
+        std::count_if(v.begin(), v.end(), [](const Posting& p) {
+          return p.remove_ts == kOpenTs;
+        }));
   }
   return n;
 }
@@ -191,35 +166,10 @@ size_t AttributeIndex::entry_count() const {
 size_t AttributeIndex::versioned_entry_count() const {
   LatchGuard g(mu_);
   size_t n = 0;
-  for (const auto& [key, v] : versioned_) {
+  for (const auto& [key, v] : postings_) {
     n += v.size();
   }
   return n;
-}
-
-void AttributeIndex::OnCreate(const Object& object) {
-  if (Covers(object)) {
-    LatchGuard g(mu_);
-    IndexValue(object.uid(), object.Get(attribute_));
-  }
-}
-
-void AttributeIndex::OnUpdate(const Object& object,
-                              const std::string& attribute,
-                              const Value& old_value) {
-  if (attribute != attribute_ || !Covers(object)) {
-    return;
-  }
-  LatchGuard g(mu_);
-  UnindexValue(object.uid(), old_value);
-  IndexValue(object.uid(), object.Get(attribute_));
-}
-
-void AttributeIndex::OnDelete(const Object& object) {
-  if (Covers(object)) {
-    LatchGuard g(mu_);
-    UnindexValue(object.uid(), object.Get(attribute_));
-  }
 }
 
 void AttributeIndex::OnObjectPublished(Uid uid, const Object* before,
@@ -252,7 +202,7 @@ void AttributeIndex::OnTrim(uint64_t min_active_ts) {
   size_t vacuumed = 0;
   {
     LatchGuard g(mu_);
-    for (auto it = versioned_.begin(); it != versioned_.end();) {
+    for (auto it = postings_.begin(); it != postings_.end();) {
       std::vector<Posting>& v = it->second;
       const size_t before = v.size();
       v.erase(std::remove_if(v.begin(), v.end(),
@@ -263,7 +213,7 @@ void AttributeIndex::OnTrim(uint64_t min_active_ts) {
               v.end());
       vacuumed += before - v.size();
       if (v.empty()) {
-        it = versioned_.erase(it);
+        it = postings_.erase(it);
       } else {
         ++it;
       }
@@ -283,35 +233,61 @@ Status IndexManager::CreateIndex(ClassId cls, const std::string& attribute) {
   if (!spec.ok()) {
     return spec.status();
   }
-  for (const auto& index : indexes_) {
-    if (index->cls() == cls && index->attribute() == attribute) {
-      return Status::AlreadyExists("index on (" +
-                                   schema->GetClass(cls)->name + ", " +
-                                   attribute + ") already exists");
+  auto exists = [&] {
+    return std::any_of(indexes_.begin(), indexes_.end(),
+                       [&](const std::unique_ptr<AttributeIndex>& index) {
+                         return index->cls() == cls &&
+                                index->attribute() == attribute;
+                       });
+  };
+  auto duplicate = [&] {
+    return Status::AlreadyExists("index on (" + schema->GetClass(cls)->name +
+                                 ", " + attribute + ") already exists");
+  };
+  {
+    LatchGuard g(mu_);
+    if (exists()) {
+      return duplicate();
     }
   }
-  indexes_.push_back(std::make_unique<AttributeIndex>(objects_, records_, cls,
-                                                      attribute, metrics_));
-  return Status::Ok();
+  // Built outside the latch: the seed scans the record chains and
+  // registers a listener.  A concurrent CreateIndex for the same pair may
+  // win meanwhile, so the duplicate check is repeated before inserting.
+  auto index = std::make_unique<AttributeIndex>(objects_, records_, cls,
+                                                attribute, metrics_);
+  {
+    LatchGuard g(mu_);
+    if (!exists()) {
+      indexes_.push_back(std::move(index));
+      return Status::Ok();
+    }
+  }
+  return duplicate();  // `index` is destroyed here, outside the latch
 }
 
 Status IndexManager::DropIndex(ClassId cls, const std::string& attribute) {
-  auto it = std::find_if(indexes_.begin(), indexes_.end(),
-                         [&](const std::unique_ptr<AttributeIndex>& index) {
-                           return index->cls() == cls &&
-                                  index->attribute() == attribute;
-                         });
-  if (it == indexes_.end()) {
-    return Status::NotFound("no such index");
+  std::unique_ptr<AttributeIndex> dropped;
+  {
+    LatchGuard g(mu_);
+    auto it = std::find_if(indexes_.begin(), indexes_.end(),
+                           [&](const std::unique_ptr<AttributeIndex>& index) {
+                             return index->cls() == cls &&
+                                    index->attribute() == attribute;
+                           });
+    if (it == indexes_.end()) {
+      return Status::NotFound("no such index");
+    }
+    dropped = std::move(*it);
+    indexes_.erase(it);
   }
-  indexes_.erase(it);
-  return Status::Ok();
+  return Status::Ok();  // `dropped` unregisters outside the latch
 }
 
 const AttributeIndex* IndexManager::FindIndex(
     ClassId cls, const std::string& attribute) const {
   const SchemaManager* schema = objects_->schema();
   const AttributeIndex* best = nullptr;
+  LatchGuard g(mu_);
   for (const auto& index : indexes_) {
     if (index->attribute() != attribute) {
       continue;

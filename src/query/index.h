@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,7 +20,7 @@ namespace orion {
 /// pointer may be null (standalone construction in tests), in which case
 /// that metric is simply not recorded.
 struct IndexMetrics {
-  obs::Counter* lookups = nullptr;            ///< live-posting Lookup calls
+  obs::Counter* lookups = nullptr;            ///< committed-now Lookup calls
   obs::Counter* lookups_at = nullptr;         ///< versioned LookupAt calls
   obs::Counter* postings_vacuumed = nullptr;  ///< versioned postings dropped
 };
@@ -32,30 +31,27 @@ struct IndexMetrics {
 /// (multi-key), so equality lookups have "contains" semantics for sets,
 /// matching the query engine.  Nil values are not indexed.
 ///
-/// The index maintains two posting structures:
+/// The index holds one posting structure: interval postings
+/// `{uid, add_ts, remove_ts}`, maintained only from the RecordStore
+/// publication stream.  Only committed states are ever published, so no
+/// lookup can surface an uncommitted or aborted write.  `LookupAt(value,
+/// read_ts)` serves snapshot readers; `Lookup(value)` and `entry_count`
+/// read the open postings — the committed-now view.  Postings are
+/// candidates, not answers: both select paths re-verify each uid against
+/// the state they read, so a stale posting costs a wasted probe, never a
+/// wrong result.  A posting whose interval ends at or before the minimum
+/// active read timestamp is vacuumed on `OnTrim`.
 ///
-///  * *Live* postings, maintained incrementally through the ObjectManager
-///    observer hook.  They track the in-place state — including a
-///    transaction's own uncommitted writes, which is what the writer's own
-///    queries must see under 2PL.  `Lookup` and `entry_count` read these.
-///  * *Versioned* interval postings `{uid, add_ts, remove_ts}`, maintained
-///    from the RecordStore publication stream.  Only committed states are
-///    ever published, so `LookupAt(value, read_ts)` can never surface an
-///    uncommitted write to a lock-free reader.  Postings are candidates,
-///    not answers: SelectAt re-verifies each uid against the snapshot, so
-///    a stale (never-closed) posting costs a wasted probe, never a wrong
-///    result.  A posting whose interval ends at or before the minimum
-///    active read timestamp is vacuumed on `OnTrim`.
-///
-/// Thread-safe: observer and listener callbacks arrive from whichever
-/// session thread performs a mutation or commit, so both structures sit
-/// behind one mutex (a leaf latch — nothing is called out of it).
-class AttributeIndex : public ObjectObserver, public RecordStoreListener {
+/// Thread-safe: listener callbacks arrive from whichever session thread
+/// commits, so the postings sit behind one mutex (a leaf latch — nothing
+/// is called out of it).
+class AttributeIndex : public RecordStoreListener {
  public:
-  /// Builds the live postings from the current extent and the versioned
-  /// postings from the committed record chains (every historical value is
-  /// seeded with add_ts = 0, so readers pinned before the index existed
-  /// still get complete candidate sets), then registers for updates.
+  /// Registers for publications, then seeds the postings from the committed
+  /// record chains: each record's value gets the interval ending where the
+  /// next newer record begins (open for the newest), starting at 0 so
+  /// readers pinned before the index existed still get complete candidate
+  /// sets.  Without a record store the index stays empty.
   AttributeIndex(ObjectManager* objects, RecordStore* records, ClassId cls,
                  std::string attribute, IndexMetrics metrics = {});
   ~AttributeIndex() override;
@@ -66,8 +62,8 @@ class AttributeIndex : public ObjectObserver, public RecordStoreListener {
   ClassId cls() const { return cls_; }
   const std::string& attribute() const { return attribute_; }
 
-  /// UIDs of instances whose attribute equals `value` (or, for set-valued
-  /// attributes, contains it) in the live tables, sorted.
+  /// UIDs of instances whose newest committed state has `value` in the
+  /// attribute (or, for set-valued attributes, contains it), sorted.
   std::vector<Uid> Lookup(const Value& value) const;
 
   /// Candidate UIDs whose committed state at `ts` may hold `value`: every
@@ -76,25 +72,14 @@ class AttributeIndex : public ObjectObserver, public RecordStoreListener {
   /// the snapshot); never false negatives for committed states.
   std::vector<Uid> LookupAt(const Value& value, uint64_t ts) const;
 
-  /// Number of live (key, uid) postings.
+  /// Number of open (key, uid) postings.
   size_t entry_count() const;
 
-  /// Distinct live keys.
-  size_t key_count() const {
-    LatchGuard g(mu_);
-    return postings_.size();
-  }
-
-  /// Versioned postings currently held (tests bound this after vacuum).
+  /// Postings currently held, open and closed (tests bound this after
+  /// vacuum).
   size_t versioned_entry_count() const;
 
-  // --- ObjectObserver (live postings) ---------------------------------------
-  void OnCreate(const Object& object) override;
-  void OnUpdate(const Object& object, const std::string& attribute,
-                const Value& old_value) override;
-  void OnDelete(const Object& object) override;
-
-  // --- RecordStoreListener (versioned postings) -----------------------------
+  // --- RecordStoreListener ---------------------------------------------------
   void OnObjectPublished(Uid uid, const Object* before, const Object* after,
                          uint64_t commit_ts) override;
   void OnTrim(uint64_t min_active_ts) override;
@@ -108,11 +93,14 @@ class AttributeIndex : public ObjectObserver, public RecordStoreListener {
     uint64_t remove_ts = kOpenTs;
   };
   static constexpr uint64_t kOpenTs = UINT64_MAX;
+  /// Above every commit timestamp: exactly the open postings cover it.
+  static constexpr uint64_t kNowTs = kOpenTs - 1;
 
   bool Covers(const Object& object) const;
-  /// All require mu_ held.
-  void IndexValue(Uid uid, const Value& value);
-  void UnindexValue(Uid uid, const Value& value);
+  /// Uids of the postings of `value` whose interval covers `ts`, sorted,
+  /// deduplicated.
+  std::vector<Uid> Covering(const Value& value, uint64_t ts) const;
+  /// Both require mu_ held.
   void OpenPosting(Uid uid, const std::string& key, uint64_t ts);
   void ClosePosting(Uid uid, const std::string& key, uint64_t ts);
 
@@ -122,12 +110,10 @@ class AttributeIndex : public ObjectObserver, public RecordStoreListener {
   std::string attribute_;
   IndexMetrics metrics_;
   mutable Latch mu_{"index.postings", LatchRank::kIndexPostings};
-  /// Canonical key encoding -> live posting set.  Value lacks operator< and
-  /// hashing; the deterministic ToString encoding is the key.  Guarded by
-  /// mu_.
-  std::map<std::string, std::set<Uid>> postings_;
-  /// Canonical key encoding -> versioned interval postings.  Guarded by mu_.
-  std::map<std::string, std::vector<Posting>> versioned_;
+  /// Canonical key encoding -> interval postings.  Value lacks operator<
+  /// and hashing; the deterministic ToString encoding is the key.  Guarded
+  /// by mu_.
+  std::map<std::string, std::vector<Posting>> postings_;
 };
 
 /// Owns the indexes of one database and picks them up for query planning.
@@ -160,12 +146,20 @@ class IndexManager {
   const AttributeIndex* FindIndex(ClassId cls,
                                   const std::string& attribute) const;
 
-  size_t index_count() const { return indexes_.size(); }
+  size_t index_count() const {
+    LatchGuard g(mu_);
+    return indexes_.size();
+  }
 
  private:
   ObjectManager* objects_;
   RecordStore* records_;
   IndexMetrics metrics_;
+  /// Guards the list only: `(create-index ...)` over wire `eval` grows it
+  /// on one connection thread while wire `select` plans against it on
+  /// another.  An index is built before, and destroyed after, the latch.
+  /// Dropping an index a concurrent select still holds is not supported.
+  mutable Latch mu_{"index.list", LatchRank::kIndexList};
   std::vector<std::unique_ptr<AttributeIndex>> indexes_;
 };
 

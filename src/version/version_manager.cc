@@ -41,7 +41,7 @@ Result<VersionedHandle> VersionManager::MakeVersioned(
   };
 
   // :init defaults for non-composite attributes, then explicit values
-  // (through SetAttribute so observers see the installs).
+  // (through SetAttribute so each install is published).
   auto all_attrs = schema_->ResolvedAttributes(cls);
   if (all_attrs.ok()) {
     for (const AttributeSpec& spec : *all_attrs) {
@@ -185,14 +185,13 @@ Status VersionManager::DeleteVersionClosure(Uid version) {
   // generic instances.
   ORION_ASSIGN_OR_RETURN(std::vector<Uid> doomed,
                          objects_->ComputeDeletionClosure(version));
-  objects_->PreNotifyDeletions(doomed);
   std::vector<Uid> affected_generics;
   for (Uid d : doomed) {
     Object* obj = objects_->Peek(d);
     if (obj != nullptr && obj->is_version()) {
       affected_generics.push_back(obj->generic());
     }
-    ORION_RETURN_IF_ERROR(objects_->DeleteSingle(d, /*notify=*/false));
+    ORION_RETURN_IF_ERROR(objects_->DeleteSingle(d));
   }
   // Reap generics that lost versions.
   std::unordered_set<Uid> seen;

@@ -262,6 +262,57 @@ TEST(RpcLoopbackTest, TxnIsAtomicAndSpansCells) {
   server.Stop();
 }
 
+// --- Index list under concurrent DDL and queries -----------------------------
+
+TEST(RpcIndexTest, CreateIndexEvalRacesSelects) {
+  constexpr int kAttrs = 12;
+  constexpr int kObjects = 8;
+  std::unique_ptr<Cluster> cluster(new Cluster(2));
+  ClassSpec spec{.name = "Wide"};
+  for (int i = 0; i < kAttrs; ++i) {
+    spec.attributes.push_back(WeakAttr("A" + std::to_string(i), "integer"));
+  }
+  ASSERT_TRUE(cluster->MakeClass(spec).ok());
+  Server server(cluster.get());
+  ASSERT_TRUE(server.Start().ok());
+  auto writer = Client::Connect("127.0.0.1", server.port());
+  auto reader = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(reader.ok());
+  for (int j = 0; j < kObjects; ++j) {
+    std::vector<WireAttr> attrs;
+    for (int i = 0; i < kAttrs; ++i) {
+      attrs.push_back({"A" + std::to_string(i), Value::Integer(j % 2)});
+    }
+    ASSERT_TRUE((*writer)->Make("Wide", {}, attrs).ok());
+  }
+
+  // One connection grows the authority cell's index list through eval
+  // while another plans selects against it.
+  std::atomic<bool> done{false};
+  std::thread ddl([&] {
+    for (int i = 0; i < kAttrs; ++i) {
+      EXPECT_TRUE((*writer)
+                      ->Eval("(create-index Wide A" + std::to_string(i) + ")")
+                      .ok());
+    }
+    done.store(true);
+  });
+  int selects = 0;
+  while (!done.load() || selects < kAttrs) {
+    const std::string attr = "A" + std::to_string(selects % kAttrs);
+    const Result<std::vector<Uid>> hits =
+        (*reader)->Select("Wide", "(= " + attr + " 1)");
+    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+    EXPECT_EQ(hits->size(), static_cast<size_t>(kObjects / 2)) << attr;
+    ++selects;
+  }
+  ddl.join();
+  EXPECT_EQ(cluster->authority().indexes().index_count(),
+            static_cast<size_t>(kAttrs));
+  server.Stop();
+}
+
 // --- Retry and admission control ---------------------------------------------
 
 TEST(RpcAdmissionTest, ShedRequestsSurfaceAsTimeoutAfterRetryBudget) {
