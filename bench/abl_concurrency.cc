@@ -109,11 +109,12 @@ uint64_t Worker(Fixture& fx, Topology topology, Strategy strategy,
         case Strategy::kMco:
           // Extended protocol: one composite lock covers the whole
           // hierarchy; the write touches a component directly afterwards.
-          ORION_RETURN_IF_ERROR(write
-                                    ? fx.db.protocol().LockComposite(
-                                          txn.id(), root, /*write=*/true,
-                                          session.options().lock_timeout)
-                                    : txn.LockCompositeForRead(root));
+          ORION_RETURN_IF_ERROR(
+              write ? fx.db.protocol()
+                          .LockComposite(txn.id(), root, /*write=*/true,
+                                         session.options().lock_timeout)
+                          .status()
+                    : txn.LockCompositeForRead(root));
           break;
         case Strategy::kRootOnly:
           // [GARZ88]: lock the roots of every composite containing the

@@ -103,8 +103,10 @@ void BM_StrategyCompositeProtocol(benchmark::State& state) {
   size_t v = 0;
   for (auto _ : state) {
     TxnId txn = db.locks().Begin();
-    Status s = db.protocol().LockComposite(
-        txn, fleet.vehicles[v++ % fleet.vehicles.size()], false);
+    Status s = db.protocol()
+                   .LockComposite(
+                       txn, fleet.vehicles[v++ % fleet.vehicles.size()], false)
+                   .status();
     benchmark::DoNotOptimize(s);
     (void)db.locks().Release(txn);
   }

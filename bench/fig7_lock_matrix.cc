@@ -27,8 +27,11 @@ void BM_CompositeProtocolLock(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     TxnId txn = db.locks().Begin();
-    Status s = db.protocol().LockComposite(
-        txn, fleet.vehicles[i++ % fleet.vehicles.size()], /*write=*/false);
+    Status s = db.protocol()
+                   .LockComposite(txn,
+                                  fleet.vehicles[i++ % fleet.vehicles.size()],
+                                  /*write=*/false)
+                   .status();
     benchmark::DoNotOptimize(s);
     (void)db.locks().Release(txn);
   }
@@ -82,8 +85,10 @@ void BM_ConcurrentWritersDifferentComposites(benchmark::State& state) {
   for (auto _ : state) {
     TxnId t1 = db.locks().Begin();
     TxnId t2 = db.locks().Begin();
-    Status a = db.protocol().LockComposite(t1, fleet.vehicles[0], true);
-    Status b = db.protocol().LockComposite(t2, fleet.vehicles[1], true);
+    Status a =
+        db.protocol().LockComposite(t1, fleet.vehicles[0], true).status();
+    Status b =
+        db.protocol().LockComposite(t2, fleet.vehicles[1], true).status();
     benchmark::DoNotOptimize(a);
     benchmark::DoNotOptimize(b);
     if (!a.ok() || !b.ok()) {

@@ -61,9 +61,12 @@ void PrintScenario() {
   TxnId t1 = f.db.locks().Begin();
   TxnId t2 = f.db.locks().Begin();
   TxnId t3 = f.db.locks().Begin();
-  Status ex1 = f.db.protocol().LockComposite(t1, f.inst_i, /*write=*/true);
-  Status ex2 = f.db.protocol().LockComposite(t2, f.inst_k, /*write=*/false);
-  Status ex3 = f.db.protocol().LockComposite(t3, f.inst_j, /*write=*/true);
+  Status ex1 =
+      f.db.protocol().LockComposite(t1, f.inst_i, /*write=*/true).status();
+  Status ex2 =
+      f.db.protocol().LockComposite(t2, f.inst_k, /*write=*/false).status();
+  Status ex3 =
+      f.db.protocol().LockComposite(t3, f.inst_j, /*write=*/true).status();
   std::printf("Figure 9 replay:\n");
   std::printf("  example 1 (update composite at Instance[i]): %s\n",
               ex1.ok() ? "granted" : ex1.ToString().c_str());
@@ -79,7 +82,7 @@ void BM_SharedCompositeReadCycle(benchmark::State& state) {
   Fig9 f;
   for (auto _ : state) {
     TxnId txn = f.db.locks().Begin();
-    Status s = f.db.protocol().LockComposite(txn, f.inst_k, false);
+    Status s = f.db.protocol().LockComposite(txn, f.inst_k, false).status();
     benchmark::DoNotOptimize(s);
     (void)f.db.locks().Release(txn);
   }

@@ -128,9 +128,9 @@ int main() {
 
   // Alice updates assembly v0's composite; Bob reads assembly v1's; both
   // share the composite class hierarchy.
-  Check(protocol.LockComposite(alice, asm_v0, /*write=*/true),
+  Check(protocol.LockComposite(alice, asm_v0, /*write=*/true).status(),
         "alice locks v0");
-  Check(protocol.LockComposite(bob, asm_v1, /*write=*/false),
+  Check(protocol.LockComposite(bob, asm_v1, /*write=*/false).status(),
         "bob locks v1");
   std::cout << "\nAlice (writer, assembly v0) and Bob (reader, assembly v1) "
                "hold locks concurrently:\n  both hold class-level O-modes; "

@@ -6,6 +6,57 @@
 
 namespace orion {
 
+namespace {
+
+/// The live table as the coverage walk of LockCompositeForRead sees it:
+/// Peek without deferred catch-up (the walk holds only read locks, so it
+/// must not rewrite an instance), restricted to what the composite lock
+/// covers — the root and instances of the locked component classes.  An
+/// instance of any other class (a subclass of an attribute's domain, or
+/// the root's own class below the root) is outside the lock: the walk
+/// neither records it nor descends through it.  Every instance the walk
+/// accepts is appended to `covered`.
+class CoverageView final : public ObjectView {
+ public:
+  CoverageView(ObjectManager& objects, Uid root,
+               const std::vector<ComponentClassLock>& classes,
+               std::vector<Uid>* covered)
+      : objects_(&objects),
+        schema_view_(objects.schema(), kSchemaLiveTs),
+        root_(root),
+        classes_(classes),
+        covered_(covered) {}
+
+  const Object* Lookup(Uid uid) const override {
+    const Object* obj = objects_->Peek(uid);
+    if (obj == nullptr ||
+        (uid != root_ &&
+         std::none_of(classes_.begin(), classes_.end(),
+                      [&](const ComponentClassLock& c) {
+                        return c.cls == obj->class_id();
+                      }))) {
+      return nullptr;
+    }
+    covered_->push_back(uid);
+    return obj;
+  }
+
+  const SchemaView* schema() const override { return &schema_view_; }
+
+  std::vector<Uid> Extent(ClassId cls) const override {
+    return objects_->InstancesOfDeep(cls);
+  }
+
+ private:
+  const ObjectManager* objects_;
+  SchemaView schema_view_;
+  Uid root_;
+  const std::vector<ComponentClassLock>& classes_;
+  std::vector<Uid>* covered_;
+};
+
+}  // namespace
+
 TransactionContext::TransactionContext(Database* db,
                                        std::chrono::milliseconds lock_timeout,
                                        std::string user)
@@ -180,13 +231,18 @@ Status TransactionContext::JournalDeletion(Uid uid) {
 Result<const Object*> TransactionContext::Read(Uid uid) {
   ORION_RETURN_IF_ERROR(RequireActive());
   ORION_RETURN_IF_ERROR(CheckAccess(uid, /*write=*/false));
-  ORION_RETURN_IF_ERROR(CheckDmlFor(uid));
-  ORION_RETURN_IF_ERROR(
-      db_->protocol().LockInstance(txn_, uid, /*write=*/false, timeout_));
-  // Re-register after the S lock: the first committed record of a
-  // just-created object may have landed between the pre-lock check (which
-  // then saw nothing) and the lock grant.
-  ORION_RETURN_IF_ERROR(CheckDmlFor(uid));
+  // §7 a–c: a composite read lock covers its components implicitly, and
+  // the root's fence registration covers every class below it (§10.3),
+  // so a covered object needs neither an instance lock nor a fence check.
+  if (!std::binary_search(covered_.begin(), covered_.end(), uid)) {
+    ORION_RETURN_IF_ERROR(CheckDmlFor(uid));
+    ORION_RETURN_IF_ERROR(
+        db_->protocol().LockInstance(txn_, uid, /*write=*/false, timeout_));
+    // Re-register after the S lock: the first committed record of a
+    // just-created object may have landed between the pre-lock check
+    // (which then saw nothing) and the lock grant.
+    ORION_RETURN_IF_ERROR(CheckDmlFor(uid));
+  }
   // §10 + §4.3: Access runs deferred-change catch-up, which MUTATES the
   // instance.  Under an S lock that would race other readers, so when
   // catch-up is (conservatively) needed, upgrade to X and journal the
@@ -211,8 +267,24 @@ Status TransactionContext::LockCompositeForRead(Uid root) {
   // upward half of Database::AffectedClassClosure), so it either drains
   // this transaction or refuses it here.
   ORION_RETURN_IF_ERROR(CheckDmlFor(root));
-  return db_->protocol().LockComposite(txn_, root, /*write=*/false,
-                                       timeout_);
+  ORION_ASSIGN_OR_RETURN(
+      std::vector<ComponentClassLock> classes,
+      db_->protocol().LockComposite(txn_, root, /*write=*/false, timeout_));
+  // Re-register after the lock, as Read does: the root's first committed
+  // record may have landed while this transaction waited for S, and the
+  // covered Reads below run no fence check of their own.
+  ORION_RETURN_IF_ERROR(CheckDmlFor(root));
+  // Under these locks no other transaction can change the composite's
+  // structure, so one walk now fixes the covered set for the rest of the
+  // transaction.
+  Status walked =
+      ComponentsOf(CoverageView(db_->objects(), root, classes, &covered_),
+                   root)
+          .status();
+  std::sort(covered_.begin(), covered_.end());
+  covered_.erase(std::unique(covered_.begin(), covered_.end()),
+                 covered_.end());
+  return walked;
 }
 
 Result<Uid> TransactionContext::Make(const std::string& class_name,
@@ -351,7 +423,9 @@ Status TransactionContext::Delete(Uid uid) {
   // LockCompositeForRead for the closure argument).
   ORION_RETURN_IF_ERROR(CheckDmlFor(uid));
   ORION_RETURN_IF_ERROR(
-      db_->protocol().LockComposite(txn_, uid, /*write=*/true, timeout_));
+      db_->protocol()
+          .LockComposite(txn_, uid, /*write=*/true, timeout_)
+          .status());
   // The composite lock covers `uid` and everything below it, but deletion
   // also clears forward references in the *surviving parents* of every
   // doomed object — X-lock those too, or a concurrent writer on a parent

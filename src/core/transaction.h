@@ -55,11 +55,15 @@ class TransactionContext {
   // --- Reads -----------------------------------------------------------------
 
   /// Locks the instance for reading (IS on class, S on instance) and
-  /// returns it.
+  /// returns it.  An object covered by a composite read lock this
+  /// transaction holds (see LockCompositeForRead) is read under that lock:
+  /// no instance lock and no fence re-check.
   Result<const Object*> Read(Uid uid);
 
   /// Locks the whole composite object rooted at `root` for reading with
-  /// the extended §7 protocol.
+  /// the extended §7 protocol, then records the root and every component
+  /// the lock covers — instances of the locked component classes reached
+  /// from the root — so that later Reads of them take no further lock.
   Status LockCompositeForRead(Uid root);
 
   // --- Mutations (all journaled) ----------------------------------------------
@@ -192,6 +196,9 @@ class TransactionContext {
   uint64_t gtid_ = 0;
   /// Classes already registered with the schema fence (txn-local cache).
   std::unordered_set<ClassId> touched_classes_;
+  /// Objects covered by a composite read lock this transaction holds,
+  /// sorted.
+  std::vector<Uid> covered_;
   /// uid -> before-image; nullopt = the object did not exist before.
   std::unordered_map<Uid, std::optional<Object>> journal_;
   /// generic uid -> (versions, user default) before; nullopt = unregistered.

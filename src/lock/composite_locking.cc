@@ -53,9 +53,8 @@ CompositeLockProtocol::ComponentClassClosure(ClassId root_class) const {
   return out;
 }
 
-Status CompositeLockProtocol::LockComposite(TxnId txn, Uid root, bool write,
-                                            std::chrono::milliseconds
-                                                timeout) {
+Result<std::vector<ComponentClassLock>> CompositeLockProtocol::LockComposite(
+    TxnId txn, Uid root, bool write, std::chrono::milliseconds timeout) {
   const Object* root_obj = objects_->Peek(root);
   if (root_obj == nullptr) {
     return Status::NotFound("object " + root.ToString());
@@ -82,7 +81,7 @@ Status CompositeLockProtocol::LockComposite(TxnId txn, Uid root, bool write,
     ORION_RETURN_IF_ERROR(
         locks_->Acquire(txn, LockResource::Class(c.cls), mode, timeout));
   }
-  return Status::Ok();
+  return closure;
 }
 
 Status CompositeLockProtocol::LockInstance(TxnId txn, Uid object, bool write,

@@ -47,9 +47,11 @@ class CompositeLockProtocol {
 
   /// Locks the composite object rooted at `root` for reading or writing
   /// using the extended protocol.  Locks already held by `txn` are reused.
-  Status LockComposite(TxnId txn, Uid root, bool write,
-                       std::chrono::milliseconds timeout =
-                           std::chrono::milliseconds(0));
+  /// Returns the component classes locked in step 3
+  /// (ComponentClassClosure of the root's class).
+  Result<std::vector<ComponentClassLock>> LockComposite(
+      TxnId txn, Uid root, bool write,
+      std::chrono::milliseconds timeout = std::chrono::milliseconds(0));
 
   /// Classical granularity locking for direct access to one instance:
   /// class IS/IX + instance S/X.

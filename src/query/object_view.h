@@ -42,11 +42,6 @@ class ObjectView {
   virtual std::vector<Uid> Extent(ClassId cls) const = 0;
 };
 
-/// Direct composite components of `parent` in `view`, derived from the
-/// resolved schema: (child, attribute spec) per composite reference.
-Result<std::vector<std::pair<Uid, AttributeSpec>>> DirectComponentsIn(
-    const ObjectView& view, Uid parent);
-
 /// The live tables, via Peek + access-time schema catch-up.
 class LiveView final : public ObjectView {
  public:

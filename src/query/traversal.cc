@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace orion {
@@ -52,6 +53,33 @@ std::vector<std::pair<Uid, bool /*exclusive*/>> ParentEdges(
   return out;
 }
 
+/// The composite attributes of each class as `view`'s schema resolves
+/// them, resolved once per class: a walk visits many instances of few
+/// classes.  A class that does not resolve maps to no attributes.
+class CompositeAttributes {
+ public:
+  explicit CompositeAttributes(const ObjectView& view) : view_(view) {}
+
+  const std::vector<AttributeSpec>& Of(ClassId cls) {
+    auto [it, inserted] = by_class_.try_emplace(cls);
+    if (inserted) {
+      auto attrs = view_.schema()->ResolvedAttributes(cls);
+      if (attrs.ok()) {
+        for (AttributeSpec& spec : *attrs) {
+          if (spec.is_composite()) {
+            it->second.push_back(std::move(spec));
+          }
+        }
+      }
+    }
+    return it->second;
+  }
+
+ private:
+  const ObjectView& view_;
+  std::unordered_map<ClassId, std::vector<AttributeSpec>> by_class_;
+};
+
 }  // namespace
 
 Result<std::vector<Uid>> ComponentsOf(const ObjectView& view, Uid object,
@@ -60,6 +88,7 @@ Result<std::vector<Uid>> ComponentsOf(const ObjectView& view, Uid object,
     return Status::NotFound("object " + object.ToString());
   }
   std::vector<Uid> out;
+  CompositeAttributes composite(view);
   std::unordered_set<Uid> visited{object};
   // (uid, depth) pairs; depth of direct components is 1.
   std::deque<std::pair<Uid, int>> frontier{{object, 0}};
@@ -69,21 +98,23 @@ Result<std::vector<Uid>> ComponentsOf(const ObjectView& view, Uid object,
     if (opts.level.has_value() && depth >= *opts.level) {
       continue;
     }
-    auto comps = DirectComponentsIn(view, cur);
-    if (!comps.ok()) {
+    const Object* obj = view.Lookup(cur);
+    if (obj == nullptr) {
       continue;
     }
-    for (const auto& [child, spec] : *comps) {
+    for (const AttributeSpec& spec : composite.Of(obj->class_id())) {
       if (!EdgePasses(opts, spec.exclusive)) {
         continue;
       }
-      if (!visited.insert(child).second) {
-        continue;
+      for (Uid child : obj->Get(spec.name).ReferencedUids()) {
+        if (!visited.insert(child).second) {
+          continue;
+        }
+        if (ClassPasses(view, opts, child)) {
+          out.push_back(child);
+        }
+        frontier.emplace_back(child, depth + 1);
       }
-      if (ClassPasses(view, opts, child)) {
-        out.push_back(child);
-      }
-      frontier.emplace_back(child, depth + 1);
     }
   }
   return out;

@@ -118,7 +118,7 @@ TEST_F(CompositeLockingTest, PaperExample3ConflictsWithBoth) {
   ASSERT_TRUE(protocol().LockComposite(t2, inst_k_, /*write=*/false).ok());
   // "Example 3 is incompatible with both 1 and 2": updating the composite
   // rooted at Instance[j] needs IXOS on class C.
-  Status s = protocol().LockComposite(t3, inst_j_, /*write=*/true);
+  Status s = protocol().LockComposite(t3, inst_j_, /*write=*/true).status();
   EXPECT_EQ(s.code(), StatusCode::kLockTimeout);
 }
 
@@ -135,8 +135,9 @@ TEST_F(CompositeLockingTest, TwoWritersOnDifferentExclusiveComposites) {
   EXPECT_TRUE(protocol().LockComposite(t2, other_root, /*write=*/true).ok());
   // But the same root is exclusive.
   TxnId t3 = locks().Begin();
-  EXPECT_EQ(protocol().LockComposite(t3, inst_i_, /*write=*/false).code(),
-            StatusCode::kLockTimeout);
+  EXPECT_EQ(
+      protocol().LockComposite(t3, inst_i_, /*write=*/false).status().code(),
+      StatusCode::kLockTimeout);
 }
 
 TEST_F(CompositeLockingTest, CompositeReaderBlocksDirectComponentWriter) {
@@ -208,7 +209,7 @@ TEST_F(CompositeLockingTest, RootLockWorksForExclusiveHierarchies) {
 
 TEST_F(CompositeLockingTest, MissingObjectsAreNotFound) {
   TxnId t = locks().Begin();
-  EXPECT_EQ(protocol().LockComposite(t, Uid{999}, false).code(),
+  EXPECT_EQ(protocol().LockComposite(t, Uid{999}, false).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(protocol().LockInstance(t, Uid{999}, false).code(),
             StatusCode::kNotFound);

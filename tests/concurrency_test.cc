@@ -19,6 +19,7 @@
 #include "core/transaction.h"
 #include "invariants.h"
 #include "lock/lock_manager.h"
+#include "query/traversal.h"
 
 namespace orion {
 namespace {
@@ -252,6 +253,113 @@ TEST_F(ConcurrencyTest, ContendedSharedRootStaysConsistent) {
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->Get("Parts").ReferencedUids().size(),
             static_cast<size_t>(created.load() - deleted.load()));
+  EXPECT_EQ(db_.locks().grant_count(), 0u);
+  ORION_EXPECT_CONSISTENT(db_);
+}
+
+// §7 covered reads under fire: composite readers read every component
+// under the composite lock alone (no instance locks), while component
+// writers commit even values to all fixed parts at once, abort odd ones,
+// and a churn thread makes and deletes parts under the same root.  A
+// reader must only ever see committed values, and the fixed parts equal.
+TEST_F(ConcurrencyTest, CoveredCompositeReadersSeeOnlyCommittedValues) {
+  Uid root = *db_.Make("Node", {}, {{"Counter", Value::Integer(0)}});
+  std::vector<Uid> fixed;
+  for (int i = 0; i < 4; ++i) {
+    fixed.push_back(
+        *db_.Make("Part", {{root, "Parts"}}, {{"N", Value::Integer(0)}}));
+  }
+  constexpr int kIters = kItersPerThread / 2;
+
+  std::atomic<int> failures{0};
+  std::atomic<int> anomalies{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      Session session(&db_, ContendedOptions());
+      for (int i = 0; i < kIters; ++i) {
+        Status s = session.Run([&](TransactionContext& txn) -> Status {
+          ORION_RETURN_IF_ERROR(txn.LockCompositeForRead(root));
+          ORION_ASSIGN_OR_RETURN(std::vector<Uid> parts,
+                                 ComponentsOf(db_.objects(), root));
+          std::set<int64_t> fixed_values;
+          for (Uid u : parts) {
+            ORION_ASSIGN_OR_RETURN(const Object* obj, txn.Read(u));
+            const int64_t n = obj->Get("N").integer();
+            if (n % 2 != 0) {
+              ++anomalies;  // an aborted (odd) write leaked
+            }
+            if (std::find(fixed.begin(), fixed.end(), u) != fixed.end()) {
+              fixed_values.insert(n);
+            }
+          }
+          if (fixed_values.size() != 1) {
+            ++anomalies;  // a torn multi-object commit, or a lost part
+          }
+          ++reads;
+          return Status::Ok();
+        });
+        if (!s.ok()) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Session session(&db_, ContendedOptions());
+      for (int i = 0; i < kIters; ++i) {
+        const int64_t v = 2 * (t * 1000 + i + 1);
+        if (i % 4 == 3) {
+          TransactionContext doomed(&db_, milliseconds(250));
+          for (Uid u : fixed) {
+            if (!doomed.SetAttribute(u, "N", Value::Integer(v + 1)).ok()) {
+              break;
+            }
+          }
+          if (!doomed.Abort().ok()) {
+            ++failures;
+          }
+          continue;
+        }
+        Status s = session.Run([&](TransactionContext& txn) -> Status {
+          for (Uid u : fixed) {
+            ORION_RETURN_IF_ERROR(txn.SetAttribute(u, "N", Value::Integer(v)));
+          }
+          return Status::Ok();
+        });
+        if (!s.ok()) {
+          ++failures;
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    Session session(&db_, ContendedOptions());
+    for (int i = 0; i < kIters; ++i) {
+      Uid made;
+      Status s = session.Run([&](TransactionContext& txn) -> Status {
+        ORION_ASSIGN_OR_RETURN(made, txn.Make("Part", {{root, "Parts"}},
+                                              {{"N", Value::Integer(0)}}));
+        return Status::Ok();
+      });
+      if (s.ok()) {
+        s = session.Run(
+            [&](TransactionContext& txn) -> Status { return txn.Delete(made); });
+      }
+      if (!s.ok()) {
+        ++failures;
+      }
+    }
+  });
+  for (auto& th : threads) {
+    th.join();
+  }
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(anomalies.load(), 0);
+  EXPECT_EQ(reads.load(), 2 * kIters);
   EXPECT_EQ(db_.locks().grant_count(), 0u);
   ORION_EXPECT_CONSISTENT(db_);
 }

@@ -6,6 +6,7 @@
 // Every test ends with the whole-database invariant sweep and asserts the
 // lock table drained.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -262,6 +263,136 @@ TEST_F(DdlConcurrencyTest, ReaderPinnedAcrossTypeChangeSeesOldWorld) {
   EXPECT_TRUE(new_child->reverse_refs().empty());
   EXPECT_FALSE(*fresh.ComponentOf(child, root));
 
+  EXPECT_EQ(db_.locks().grant_count(), 0u);
+  ORION_EXPECT_CONSISTENT(db_);
+}
+
+// A composite reader reads its components under the composite lock alone,
+// registered with the fence through the root's class only.  A drop of an
+// attribute of the component class must still wait for it: the affected
+// closure reaches the root's class upward (§10.3), so the drain covers the
+// reader, which keeps seeing the attribute until it commits.
+TEST_F(DdlConcurrencyTest, DropOnComponentClassDrainsCoveredReader) {
+  Uid root = *db_.Make("Node", {}, {{"Counter", Value::Integer(1)}});
+  Uid child = *db_.Make("Part", {{root, "Parts"}}, {{"N", Value::Integer(7)}});
+  const uint64_t drained_before =
+      db_.engine_metrics().ddl_drained_txns->Value();
+
+  TransactionContext reader(&db_);
+  ASSERT_TRUE(reader.LockCompositeForRead(root).ok());
+  ASSERT_EQ((*reader.Read(child))->Get("N").integer(), 7);
+  EXPECT_TRUE(db_.locks()
+                  .HeldModes(reader.id(), LockResource::Instance(child))
+                  .empty());
+
+  std::atomic<bool> dropped{false};
+  std::thread ddl([&] {
+    EXPECT_TRUE(db_.DropAttribute(part_, "N").ok());
+    dropped = true;
+  });
+  std::this_thread::sleep_for(milliseconds(50));
+  EXPECT_FALSE(dropped.load());
+  // Still the pre-DDL instance: the sweep has not run under the reader.
+  EXPECT_EQ((*reader.Read(child))->Get("N").integer(), 7);
+  ASSERT_TRUE(reader.Commit().ok());
+  ddl.join();
+  EXPECT_TRUE(dropped.load());
+  EXPECT_GE(db_.engine_metrics().ddl_drained_txns->Value(),
+            drained_before + 1);
+  EXPECT_TRUE(db_.objects().Peek(child)->Get("N").is_null());
+  EXPECT_EQ(db_.locks().grant_count(), 0u);
+  ORION_EXPECT_CONSISTENT(db_);
+}
+
+// The root's fence registration must outlive the wait for its S lock.
+// Here the root is still being created when the reader asks for it, so the
+// pre-lock registration finds no committed record and registers nothing;
+// the creator then commits while the reader waits.  The reader must
+// register after the grant, or a drop on the component class would sweep
+// the instances it reads under the composite lock alone.
+TEST_F(DdlConcurrencyTest, CoveredReaderOfJustCommittedRootIsDrained) {
+  TransactionContext creator(&db_);
+  Uid root = *creator.Make("Node");
+  Uid child = *creator.Make("Part", {{root, "Parts"}},
+                            {{"N", Value::Integer(7)}});
+
+  std::atomic<bool> locked{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> dropped{false};
+  std::thread reader_thread([&] {
+    TransactionContext reader(&db_, milliseconds(5000));
+    EXPECT_TRUE(reader.LockCompositeForRead(root).ok());
+    auto first = reader.Read(child);
+    EXPECT_TRUE(first.ok() && (*first)->Get("N") == Value::Integer(7));
+    locked = true;
+    while (!release.load()) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    // The DDL has not swept under this transaction.
+    EXPECT_FALSE(dropped.load());
+    auto second = reader.Read(child);
+    EXPECT_TRUE(second.ok() && (*second)->Get("N") == Value::Integer(7));
+    EXPECT_TRUE(reader.Commit().ok());
+  });
+  // Let the reader block on the creator's X lock on the root.
+  std::this_thread::sleep_for(milliseconds(50));
+  EXPECT_FALSE(locked.load());
+  ASSERT_TRUE(creator.Commit().ok());
+  while (!locked.load()) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+
+  std::thread ddl([&] {
+    EXPECT_TRUE(db_.DropAttribute(part_, "N").ok());
+    dropped = true;
+  });
+  std::this_thread::sleep_for(milliseconds(50));
+  EXPECT_FALSE(dropped.load());
+  release = true;
+  reader_thread.join();
+  ddl.join();
+  EXPECT_TRUE(dropped.load());
+  EXPECT_TRUE(db_.objects().Peek(child)->Get("N").is_null());
+  EXPECT_EQ(db_.locks().grant_count(), 0u);
+  ORION_EXPECT_CONSISTENT(db_);
+}
+
+// ComponentsOf resolves each class once per walk, against the view's
+// schema: a snapshot pinned before a type change keeps walking the old
+// composite edges through every instance of the class, while a snapshot
+// pinned after it walks none of them.
+TEST_F(DdlConcurrencyTest, PinnedComponentsOfResolvesClassesAtItsTimestamp) {
+  ASSERT_TRUE(db_.MakeClass(ClassSpec{
+                             .name = "Rack",
+                             .attributes = {CompositeAttr(
+                                 "Nodes", "Node", /*exclusive=*/true,
+                                 /*dependent=*/true, /*is_set=*/true)}})
+                  .ok());
+  Uid rack = *db_.Make("Rack");
+  std::vector<Uid> nodes;
+  std::vector<Uid> parts;
+  for (int n = 0; n < 2; ++n) {
+    nodes.push_back(*db_.Make("Node", {{rack, "Nodes"}}));
+    for (int p = 0; p < 2; ++p) {
+      parts.push_back(*db_.Make("Part", {{nodes.back(), "Parts"}}));
+    }
+  }
+  auto sorted = [](std::vector<Uid> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  std::vector<Uid> everything = nodes;
+  everything.insert(everything.end(), parts.begin(), parts.end());
+
+  ReadTransaction pinned(&db_);
+  ASSERT_TRUE(db_.ChangeAttributeType(node_, "Parts", /*to_composite=*/false,
+                                      false, false, ChangeMode::kImmediate)
+                  .ok());
+  ReadTransaction fresh(&db_);
+
+  EXPECT_EQ(sorted(*pinned.ComponentsOf(rack)), sorted(everything));
+  EXPECT_EQ(sorted(*fresh.ComponentsOf(rack)), sorted(nodes));
+  EXPECT_EQ(sorted(*ComponentsOf(db_.objects(), rack)), sorted(nodes));
   EXPECT_EQ(db_.locks().grant_count(), 0u);
   ORION_EXPECT_CONSISTENT(db_);
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "core/transaction.h"
 #include "query/traversal.h"
 
 namespace orion {
@@ -379,6 +380,29 @@ TEST_F(PaperConformanceTest, S7_ProtocolStepsForReadingAComposite) {
             std::vector<LockMode>{LockMode::kISO});
 }
 
+TEST_F(PaperConformanceTest, S7_TransactionReadsCompositeUnderStepsAToC) {
+  // The same three steps, taken by a transaction: after them the
+  // composite is read — root and components — with no further lock, since
+  // the component class lock in ISO mode covers every component.
+  Uid body = Make(body_);
+  Uid v = *db_.objects().Make(vehicle_, {}, {{"Body", Value::Ref(body)}});
+  TransactionContext txn(&db_);
+  ASSERT_TRUE(txn.LockCompositeForRead(v).ok());
+  const uint64_t after_lock = db_.locks().stats().acquisitions;
+  ASSERT_TRUE(txn.Read(v).ok());
+  ASSERT_TRUE(txn.Read(body).ok());
+  EXPECT_EQ(db_.locks().stats().acquisitions, after_lock);
+  EXPECT_EQ(db_.locks().HeldModes(txn.id(), LockResource::Class(vehicle_)),
+            std::vector<LockMode>{LockMode::kIS});
+  EXPECT_EQ(db_.locks().HeldModes(txn.id(), LockResource::Instance(v)),
+            std::vector<LockMode>{LockMode::kS});
+  EXPECT_EQ(db_.locks().HeldModes(txn.id(), LockResource::Class(body_)),
+            std::vector<LockMode>{LockMode::kISO});
+  EXPECT_TRUE(
+      db_.locks().HeldModes(txn.id(), LockResource::Instance(body)).empty());
+  ASSERT_TRUE(txn.Commit().ok());
+}
+
 TEST_F(PaperConformanceTest, S7_DifferentCompositesSameHierarchy) {
   // "This protocol allows multiple users to read and update different
   // composite objects that share the same composite class hierarchy, as
@@ -393,8 +417,9 @@ TEST_F(PaperConformanceTest, S7_DifferentCompositesSameHierarchy) {
   EXPECT_TRUE(db_.protocol().LockComposite(t2, v2, /*write=*/true).ok());
   // But the SAME composite object is serialized by the root lock.
   TxnId t3 = db_.locks().Begin();
-  EXPECT_EQ(db_.protocol().LockComposite(t3, v1, /*write=*/false).code(),
-            StatusCode::kLockTimeout);
+  EXPECT_EQ(
+      db_.protocol().LockComposite(t3, v1, /*write=*/false).status().code(),
+      StatusCode::kLockTimeout);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include "core/transaction.h"
 
+#include <algorithm>
+#include <chrono>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "invariants.h"
@@ -26,8 +30,43 @@ class TransactionTest : public ::testing::Test {
         .versionable = true});
   }
 
+  /// A three-level §7 hierarchy: Top -shared-> Mid -exclusive-> Leaf, so
+  /// a composite read lock on a Top takes ISOS on Mid and ISO on Leaf.
+  void MakeAssemblyClasses() {
+    leaf_ = *db_.MakeClass(ClassSpec{
+        .name = "Leaf", .attributes = {WeakAttr("W", "integer")}});
+    mid_ = *db_.MakeClass(ClassSpec{
+        .name = "Mid",
+        .attributes = {CompositeAttr("Leaves", "Leaf", /*exclusive=*/true,
+                                     /*dependent=*/true, /*is_set=*/true)}});
+    top_ = *db_.MakeClass(ClassSpec{
+        .name = "Top",
+        .attributes = {CompositeAttr("Mids", "Mid", /*exclusive=*/false,
+                                     /*dependent=*/false, /*is_set=*/true)}});
+  }
+
+  /// A Top with two Mids of two Leaves each; returns {top, mids..., leaves...}.
+  std::vector<Uid> MakeAssembly() {
+    std::vector<Uid> members{*db_.objects().Make(top_, {}, {})};
+    for (int m = 0; m < 2; ++m) {
+      members.push_back(*db_.objects().Make(mid_, {{members[0], "Mids"}}, {}));
+    }
+    for (int m = 1; m <= 2; ++m) {
+      for (int l = 0; l < 2; ++l) {
+        members.push_back(*db_.objects().Make(
+            leaf_, {{members[m], "Leaves"}}, {{"W", Value::Integer(0)}}));
+      }
+    }
+    return members;
+  }
+
+  static bool Holds(const std::vector<LockMode>& held, LockMode mode) {
+    return std::find(held.begin(), held.end(), mode) != held.end();
+  }
+
   Database db_;
   ClassId node_, part_, design_;
+  ClassId leaf_ = kInvalidClass, mid_ = kInvalidClass, top_ = kInvalidClass;
 };
 
 TEST_F(TransactionTest, CommitKeepsChanges) {
@@ -163,6 +202,178 @@ TEST_F(TransactionTest, CompositeReadBlocksComponentWrite) {
   TransactionContext writer(&db_);
   EXPECT_EQ(writer.SetAttribute(part, "Name", Value::Null()).code(),
             StatusCode::kLockTimeout);
+}
+
+// §7 a–c through the transaction: the composite read lock is the only
+// lock its components are read under.  Reading them adds no instance lock
+// and no class IS; an object outside the composite still takes IS + S.
+TEST_F(TransactionTest, CompositeReadCoversComponents) {
+  MakeAssemblyClasses();
+  const std::vector<Uid> members = MakeAssembly();
+  const Uid top = members[0];
+  const Uid outsider = *db_.objects().Make(leaf_, {}, {});
+  TransactionContext reader(&db_);
+  const uint64_t before = db_.locks().stats().acquisitions;
+  ASSERT_TRUE(reader.LockCompositeForRead(top).ok());
+  // IS(Top) + S(top) + ISOS(Mid) + ISO(Leaf).
+  const uint64_t composite_locks = 4;
+  EXPECT_EQ(db_.locks().stats().acquisitions - before, composite_locks);
+  for (Uid u : members) {
+    ASSERT_TRUE(reader.Read(u).ok()) << u.ToString();
+  }
+  for (size_t i = 1; i < members.size(); ++i) {
+    EXPECT_TRUE(db_.locks()
+                    .HeldModes(reader.id(), LockResource::Instance(members[i]))
+                    .empty())
+        << members[i].ToString();
+  }
+  EXPECT_EQ(db_.locks().HeldModes(reader.id(), LockResource::Instance(top)),
+            std::vector<LockMode>{LockMode::kS});
+  EXPECT_EQ(db_.locks().HeldModes(reader.id(), LockResource::Class(top_)),
+            std::vector<LockMode>{LockMode::kIS});
+  EXPECT_EQ(db_.locks().HeldModes(reader.id(), LockResource::Class(mid_)),
+            std::vector<LockMode>{LockMode::kISOS});
+  EXPECT_EQ(db_.locks().HeldModes(reader.id(), LockResource::Class(leaf_)),
+            std::vector<LockMode>{LockMode::kISO});
+  EXPECT_EQ(db_.locks().stats().acquisitions - before, composite_locks);
+
+  ASSERT_TRUE(reader.Read(outsider).ok());
+  EXPECT_EQ(
+      db_.locks().HeldModes(reader.id(), LockResource::Instance(outsider)),
+      std::vector<LockMode>{LockMode::kS});
+  EXPECT_TRUE(Holds(
+      db_.locks().HeldModes(reader.id(), LockResource::Class(leaf_)),
+      LockMode::kIS));
+  EXPECT_EQ(db_.locks().stats().acquisitions - before, composite_locks + 2);
+  ASSERT_TRUE(reader.Commit().ok());
+  EXPECT_EQ(db_.locks().grant_count(), 0u);
+}
+
+// The class locks of §7 name the attribute domains, so an instance of a
+// subclass of a domain is outside them: a writer of it takes IX on the
+// subclass, which ISO on the domain does not exclude.  Such a component
+// is read under its own instance lock, as before.
+TEST_F(TransactionTest, CompositeReadLocksSubclassComponentsItself) {
+  MakeAssemblyClasses();
+  const ClassId special = *db_.MakeClass(
+      ClassSpec{.name = "SpecialLeaf", .superclasses = {"Leaf"}});
+  const std::vector<Uid> members = MakeAssembly();
+  const Uid special_leaf =
+      *db_.objects().Make(special, {{members[1], "Leaves"}}, {});
+  TransactionContext reader(&db_);
+  ASSERT_TRUE(reader.LockCompositeForRead(members[0]).ok());
+  ASSERT_TRUE(reader.Read(special_leaf).ok());
+  EXPECT_EQ(db_.locks().HeldModes(reader.id(),
+                                  LockResource::Instance(special_leaf)),
+            std::vector<LockMode>{LockMode::kS});
+  EXPECT_EQ(db_.locks().HeldModes(reader.id(), LockResource::Class(special)),
+            std::vector<LockMode>{LockMode::kIS});
+  // ...so a writer of it is kept out by that S lock.
+  TransactionContext writer(&db_);
+  EXPECT_EQ(writer.SetAttribute(special_leaf, "W", Value::Integer(1)).code(),
+            StatusCode::kLockTimeout);
+}
+
+// The root's own class is not a component class of its composite (§7
+// step 3 locks only the classes below it), so in a recursive hierarchy an
+// instance of the root's class below the root is outside the composite
+// lock too: it is read under its own S lock and keeps writers out itself.
+TEST_F(TransactionTest, CompositeReadLocksRootClassComponentsItself) {
+  const ClassId gear = *db_.MakeClass(ClassSpec{
+      .name = "Gear",
+      .attributes = {CompositeAttr("Subs", "Gear", /*exclusive=*/true,
+                                   /*dependent=*/true, /*is_set=*/true),
+                     WeakAttr("W", "integer")}});
+  const Uid root = *db_.objects().Make(gear, {}, {});
+  const Uid sub = *db_.objects().Make(gear, {{root, "Subs"}}, {});
+  TransactionContext reader(&db_);
+  ASSERT_TRUE(reader.LockCompositeForRead(root).ok());
+  ASSERT_TRUE(reader.Read(sub).ok());
+  EXPECT_EQ(db_.locks().HeldModes(reader.id(), LockResource::Instance(sub)),
+            std::vector<LockMode>{LockMode::kS});
+  TransactionContext writer(&db_);
+  EXPECT_EQ(writer.SetAttribute(sub, "W", Value::Integer(1)).code(),
+            StatusCode::kLockTimeout);
+}
+
+// Reading components without instance locks must not let writers in: the
+// component-class locks of §7 still exclude a direct writer of a
+// grandchild, a structural change below the root, and a second root's
+// composite write lock on the shared middle level (IXOS vs ISOS).
+TEST_F(TransactionTest, CoveredComponentsStillExcludeWriters) {
+  MakeAssemblyClasses();
+  const std::vector<Uid> members = MakeAssembly();
+  const Uid top = members[0];
+  const Uid mid = members[1];
+  const Uid leaf = members[3];
+  const Uid top2 = *db_.objects().Make(top_, {}, {});
+  ASSERT_TRUE(db_.objects().MakeComponent(mid, top2, "Mids").ok());
+
+  TransactionContext reader(&db_);
+  ASSERT_TRUE(reader.LockCompositeForRead(top).ok());
+  ASSERT_TRUE(reader.Read(leaf).ok());
+  ASSERT_TRUE(reader.Read(mid).ok());
+
+  TransactionContext writer(&db_);
+  EXPECT_EQ(writer.SetAttribute(leaf, "W", Value::Integer(1)).code(),
+            StatusCode::kLockTimeout);
+  TransactionContext maker(&db_);
+  EXPECT_EQ(maker.Make("Leaf", {{mid, "Leaves"}}).status().code(),
+            StatusCode::kLockTimeout);
+  TransactionContext deleter(&db_);
+  EXPECT_EQ(deleter.Delete(leaf).code(), StatusCode::kLockTimeout);
+  TransactionContext other_root(&db_);
+  EXPECT_EQ(db_.protocol()
+                .LockComposite(other_root.id(), top2, /*write=*/true)
+                .status()
+                .code(),
+            StatusCode::kLockTimeout);
+  EXPECT_TRUE(Holds(
+      db_.locks().HeldModes(other_root.id(), LockResource::Instance(top2)),
+      LockMode::kX));
+  EXPECT_TRUE(db_.locks()
+                  .HeldModes(other_root.id(), LockResource::Class(mid_))
+                  .empty());
+  ASSERT_TRUE(other_root.Abort().ok());
+  ASSERT_TRUE(writer.Abort().ok());
+
+  ASSERT_TRUE(reader.Commit().ok());
+  TransactionContext after(&db_);
+  EXPECT_TRUE(after.SetAttribute(leaf, "W", Value::Integer(2)).ok());
+  ASSERT_TRUE(after.Commit().ok());
+}
+
+// A covered component that a deferred type change (§4.3) still has to
+// catch up keeps the read path's upgrade: Read X-locks it and journals the
+// before-image, and an abort restores the pre-catch-up state.
+TEST_F(TransactionTest, CoveredReadUpgradesPendingCatchUpAndAbortRestores) {
+  MakeAssemblyClasses();
+  const std::vector<Uid> members = MakeAssembly();
+  const Uid leaf = members[3];
+  // Leaves: exclusive dependent -> exclusive independent (I4), deferred.
+  ASSERT_TRUE(db_.ChangeAttributeType(mid_, "Leaves", true, true, false,
+                                      ChangeMode::kDeferred)
+                  .ok());
+  const uint64_t stale_cc = db_.objects().Peek(leaf)->cc();
+  ASSERT_LT(stale_cc, db_.schema().CurrentCc());
+  ASSERT_TRUE(db_.objects().Peek(leaf)->reverse_refs().at(0).dependent);
+
+  TransactionContext reader(&db_);
+  ASSERT_TRUE(reader.LockCompositeForRead(members[0]).ok());
+  auto got = reader.Read(leaf);
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE((*got)->reverse_refs().at(0).dependent);
+  EXPECT_EQ((*got)->cc(), db_.schema().CurrentCc());
+  EXPECT_EQ(db_.locks().HeldModes(reader.id(), LockResource::Instance(leaf)),
+            std::vector<LockMode>{LockMode::kX});
+  EXPECT_EQ(reader.journal_size(), 1u);
+
+  ASSERT_TRUE(reader.Abort().ok());
+  const Object* restored = db_.objects().Peek(leaf);
+  EXPECT_EQ(restored->cc(), stale_cc);
+  EXPECT_TRUE(restored->reverse_refs().at(0).dependent);
+  EXPECT_EQ(db_.locks().grant_count(), 0u);
+  ORION_EXPECT_CONSISTENT(db_);
 }
 
 TEST_F(TransactionTest, FinishedTransactionsRejectFurtherWork) {

@@ -1,11 +1,69 @@
 #include "query/traversal.h"
 
 #include <algorithm>
+#include <deque>
+#include <optional>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 namespace orion {
 namespace {
+
+/// The walk of ComponentsOf with the schema resolved again for every
+/// visited object, as it was before the walk resolved each class once:
+/// the oracle of the equivalence tests below.
+std::vector<Uid> PerObjectComponentsOf(const ObjectView& view, Uid object,
+                                       const TraversalOptions& opts) {
+  auto edge_passes = [&](bool exclusive) {
+    if (opts.exclusive != opts.shared) {
+      return opts.exclusive ? exclusive : !exclusive;
+    }
+    return true;
+  };
+  auto class_passes = [&](Uid uid) {
+    const Object* obj = view.Lookup(uid);
+    return opts.classes.empty() ||
+           (obj != nullptr &&
+            std::any_of(opts.classes.begin(), opts.classes.end(),
+                        [&](ClassId c) {
+                          return view.schema()->IsSubclassOf(obj->class_id(),
+                                                             c);
+                        }));
+  };
+  std::vector<Uid> out;
+  std::set<Uid> visited{object};
+  std::deque<std::pair<Uid, int>> frontier{{object, 0}};
+  while (!frontier.empty()) {
+    auto [cur, depth] = frontier.front();
+    frontier.pop_front();
+    const Object* obj = view.Lookup(cur);
+    if (obj == nullptr || (opts.level.has_value() && depth >= *opts.level)) {
+      continue;
+    }
+    auto attrs = view.schema()->ResolvedAttributes(obj->class_id());
+    if (!attrs.ok()) {
+      continue;
+    }
+    for (const AttributeSpec& spec : *attrs) {
+      if (!spec.is_composite() || !edge_passes(spec.exclusive)) {
+        continue;
+      }
+      for (Uid child : obj->Get(spec.name).ReferencedUids()) {
+        if (!visited.insert(child).second) {
+          continue;
+        }
+        if (class_passes(child)) {
+          out.push_back(child);
+        }
+        frontier.emplace_back(child, depth + 1);
+      }
+    }
+  }
+  return out;
+}
 
 /// Builds the Figure 4 / Figure 5 shapes from the paper on a small
 /// document-like schema.
@@ -184,6 +242,83 @@ TEST_F(TraversalTest, SharedComponentEqualsComponentMinusExclusive) {
           << "o1=" << o1.ToString() << " o2=" << o2.ToString();
     }
   }
+}
+
+// A subclass may override an inherited composite attribute with a weak
+// one; ComponentsOf resolves attributes per class, so instances of the
+// subclass stop the walk there while their superclass siblings continue.
+TEST_F(TraversalTest, SubclassOverridingCompositeToWeakIsNotFollowed) {
+  const ClassId memo = *schema_.MakeClass(ClassSpec{
+      .name = "Memo",
+      .superclasses = {"Section"},
+      .attributes = {WeakAttr("Content", "Paragraph", /*is_set=*/true)}});
+  Uid doc = Make(doc_);
+  Uid s1 = *objects_.Make(sec_, {{doc, "Sections"}}, {});
+  Uid m1 = *objects_.Make(memo, {{doc, "Sections"}}, {});
+  Uid s2 = *objects_.Make(sec_, {{doc, "Sections"}}, {});
+  Uid p1 = *objects_.Make(para_, {{s1, "Content"}}, {});
+  Uid p2 = *objects_.Make(para_, {{s2, "Content"}}, {});
+  Uid loose = Make(para_);
+  ASSERT_TRUE(
+      objects_.SetAttribute(m1, "Content", Value::RefSet({loose, p1})).ok());
+
+  auto all = ComponentsOf(objects_, doc);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(Sorted(*all), Sorted({s1, m1, s2, p1, p2}));
+  EXPECT_EQ(*all, PerObjectComponentsOf(LiveView(objects_), doc, {}));
+}
+
+// Every combination of the §3.1 arguments — Level, Exclusive, Shared and
+// ListofClasses — returns what resolving the schema per object returned,
+// in the same order, over a hierarchy mixing classes, shared components
+// and a subclass that overrides a composite attribute to weak.
+TEST_F(TraversalTest, ComponentsOfMatchesPerObjectResolutionUnderEveryFilter) {
+  const ClassId memo = *schema_.MakeClass(ClassSpec{
+      .name = "Memo",
+      .superclasses = {"Section"},
+      .attributes = {WeakAttr("Content", "Paragraph", /*is_set=*/true)}});
+  Uid doc = Make(doc_);
+  std::vector<Uid> sections;
+  for (int i = 0; i < 4; ++i) {
+    sections.push_back(
+        *objects_.Make(i == 2 ? memo : sec_, {{doc, "Sections"}}, {}));
+  }
+  Uid shared_para = *objects_.Make(para_, {{sections[0], "Content"}}, {});
+  ASSERT_TRUE(
+      objects_.MakeComponent(shared_para, sections[1], "Content").ok());
+  for (Uid sec : {sections[0], sections[1], sections[3]}) {
+    (void)*objects_.Make(para_, {{sec, "Content"}}, {});
+  }
+  (void)*objects_.Make(para_, {{doc, "Annotations"}}, {});
+  ASSERT_TRUE(objects_
+                  .SetAttribute(sections[2], "Content",
+                                Value::RefSet({shared_para}))
+                  .ok());
+
+  const LiveView view(objects_);
+  int combinations = 0;
+  for (std::optional<int> level :
+       {std::optional<int>(), std::optional<int>(0), std::optional<int>(1),
+        std::optional<int>(2)}) {
+    for (int kinds = 0; kinds < 4; ++kinds) {
+      for (const std::vector<ClassId>& classes :
+           {std::vector<ClassId>{}, std::vector<ClassId>{para_},
+            std::vector<ClassId>{sec_}, std::vector<ClassId>{memo, doc_}}) {
+        TraversalOptions opts;
+        opts.level = level;
+        opts.exclusive = (kinds & 1) != 0;
+        opts.shared = (kinds & 2) != 0;
+        opts.classes = classes;
+        auto got = ComponentsOf(view, doc, opts);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(*got, PerObjectComponentsOf(view, doc, opts))
+            << "level=" << (level ? *level : -1) << " kinds=" << kinds
+            << " classes=" << classes.size();
+        ++combinations;
+      }
+    }
+  }
+  EXPECT_EQ(combinations, 64);
 }
 
 TEST_F(TraversalTest, MissingObjectsAreNotFound) {
