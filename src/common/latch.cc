@@ -21,6 +21,8 @@ const char* LatchRankName(LatchRank rank) {
       return "kVersionRegistry";
     case LatchRank::kEpochRegistry:
       return "kEpochRegistry";
+    case LatchRank::kRecordTrim:
+      return "kRecordTrim";
     case LatchRank::kCommit:
       return "kCommit";
     case LatchRank::kWal:

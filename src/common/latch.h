@@ -68,6 +68,11 @@ enum class LatchRank : uint16_t {
   kVersionRegistry = 110,
   /// ReadTsRegistry::mu_ — read-timestamp pins.
   kEpochRegistry = 120,
+  /// RecordStore::trim_mu_ — one trim pass at a time.  Only trimmers take
+  /// it; it guards the pass's batch of queued chains, not any chain, so no
+  /// reader or publisher ever waits on it.  Wraps the commit gateway (the
+  /// queue swap) and the chain shards (each visit).
+  kRecordTrim = 150,
   // -- Commit gateway. ----------------------------------------------------
   /// RecordStore::commit_mu_.  The §7 "strict leaf" rule, machine-checked:
   /// no latch ranked at or above it may be held when it is acquired, so a

@@ -155,22 +155,17 @@ class ShardedMap {
     }
   }
 
-  /// Visits every entry, shard by shard, under the shard's *exclusive*
-  /// latch; `fn(key, Mapped&)` may mutate the value and returns true to
-  /// erase the entry.  Each shard is swept atomically, so a concurrent
-  /// writer cannot interleave with the visit-then-erase decision for any
-  /// key in that shard (the record-chain trimmer relies on this).
+  /// Runs `fn(Mapped&)` under the shard's exclusive latch if `key` is
+  /// present, and erases the entry when `fn` returns true.  The
+  /// visit-then-erase decision is atomic with respect to every other writer
+  /// of the key (the record-chain trimmer relies on this).
   template <typename Fn>
-  void EraseIf(Fn fn) {
-    for (Shard& s : shards_) {
-      SharedLatchWriteGuard g(s.mu);
-      for (auto it = s.map.begin(); it != s.map.end();) {
-        if (fn(it->first, it->second)) {
-          it = s.map.erase(it);
-        } else {
-          ++it;
-        }
-      }
+  void UpdateOrErase(const Key& key, Fn fn) {
+    Shard& s = ShardFor(key);
+    SharedLatchWriteGuard g(s.mu);
+    auto it = s.map.find(key);
+    if (it != s.map.end() && fn(it->second)) {
+      s.map.erase(it);
     }
   }
 

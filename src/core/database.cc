@@ -61,6 +61,7 @@ Database::Database(uint32_t objects_per_page, CellTag cell_tag,
   em_.read_txns = &metrics_.counter("mvcc.read_txns");
   em_.reclaim_passes = &metrics_.counter("reclaim.passes");
   em_.reclaim_zero_passes = &metrics_.counter("reclaim.zero_passes");
+  em_.reclaim_chains_visited = &metrics_.counter("reclaim.chains_visited");
   em_.reclaim_min_active_ts = &metrics_.gauge("reclaim.min_active_ts");
   em_.reclaim_last_trimmed = &metrics_.gauge("reclaim.last_trimmed");
   em_.ddl_fences = &metrics_.counter("ddl.fences");
@@ -146,8 +147,10 @@ uint64_t Database::ReclaimOnce() {
   // relies on that ordering to make begin-of-read-transaction safe against a
   // concurrent trim.
   const uint64_t min_active = read_registry_.MinActive(records_.watermark());
-  const size_t trimmed = records_.Trim(min_active);
+  size_t chains_visited = 0;
+  const size_t trimmed = records_.Trim(min_active, &chains_visited);
   em_.reclaim_passes->Inc();
+  em_.reclaim_chains_visited->Add(chains_visited);
   if (trimmed == 0) {
     em_.reclaim_zero_passes->Inc();
   }

@@ -55,6 +55,7 @@ struct EngineMetrics {
   obs::Counter* read_txns = nullptr;
   obs::Counter* reclaim_passes = nullptr;
   obs::Counter* reclaim_zero_passes = nullptr;
+  obs::Counter* reclaim_chains_visited = nullptr;
   obs::Gauge* reclaim_min_active_ts = nullptr;
   obs::Gauge* reclaim_last_trimmed = nullptr;
   /// §10 online DDL: fences raised, epoch bumps, transactions drained,

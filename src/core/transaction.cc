@@ -422,14 +422,16 @@ Status TransactionContext::Delete(Uid uid) {
   // Registering the root covers the deletion walk below it (see
   // LockCompositeForRead for the closure argument).
   ORION_RETURN_IF_ERROR(CheckDmlFor(uid));
-  ORION_RETURN_IF_ERROR(
-      db_->protocol()
-          .LockComposite(txn_, uid, /*write=*/true, timeout_)
-          .status());
-  // The composite lock covers `uid` and everything below it, but deletion
-  // also clears forward references in the *surviving parents* of every
-  // doomed object — X-lock those too, or a concurrent writer on a parent
-  // races with the detach.  Child-then-parent ordering can deadlock against
+  ORION_ASSIGN_OR_RETURN(
+      std::vector<ComponentClassLock> classes,
+      db_->protocol().LockComposite(txn_, uid, /*write=*/true, timeout_));
+  // The composite lock covers `uid` and the doomed components whose class
+  // it names.  A component of another class — a subclass of an attribute's
+  // domain, or the root's own class in a recursive hierarchy — is outside
+  // it (see LockCompositeForRead), so X-lock it itself.  Deletion also
+  // clears forward references in the *surviving parents* of every doomed
+  // object — X-lock those too, or a concurrent writer on a parent races
+  // with the detach.  Child-then-parent ordering can deadlock against
   // top-down writers; the lock manager detects that and the session layer
   // retries.
   auto closure = db_->objects().ComputeDeletionClosure(uid);
@@ -438,6 +440,16 @@ Status TransactionContext::Delete(Uid uid) {
       const Object* obj = db_->objects().Peek(d);
       if (obj == nullptr) {
         continue;
+      }
+      if (d != uid && std::none_of(classes.begin(), classes.end(),
+                                   [&](const ComponentClassLock& c) {
+                                     return c.cls == obj->class_id();
+                                   })) {
+        ORION_RETURN_IF_ERROR(LockWrite(d));
+        obj = db_->objects().Peek(d);  // a writer may have run while we waited
+        if (obj == nullptr) {
+          continue;
+        }
       }
       for (const ReverseRef& r : obj->reverse_refs()) {
         ORION_RETURN_IF_ERROR(LockWrite(r.parent));

@@ -5,6 +5,36 @@
 
 namespace orion {
 
+namespace {
+
+/// Where a trim cuts a chain: the newest record with commit_ts <= the
+/// minimum active read timestamp (null if none), the number of records up
+/// to and including it, and the chain's length.  Everything older than the
+/// pivot is unreachable by any present or future reader.
+template <typename Record>
+struct Pivot {
+  Record* record = nullptr;
+  uint32_t kept = 0;
+  uint32_t total = 0;
+};
+
+template <typename Record>
+Pivot<Record> FindPivot(Record* head, uint64_t min_active_ts) {
+  Pivot<Record> p;
+  for (Record* r = head; r != nullptr; r = r->prev.get()) {
+    ++p.total;
+    if (p.record == nullptr) {
+      ++p.kept;
+      if (r->commit_ts <= min_active_ts) {
+        p.record = r;
+      }
+    }
+  }
+  return p;
+}
+
+}  // namespace
+
 std::unordered_map<const RecordStore*, RecordStore::TlsState>&
 RecordStore::TlsMap() {
   thread_local std::unordered_map<const RecordStore*, TlsState> map;
@@ -270,6 +300,12 @@ void RecordStore::InstallObject(Uid uid, std::shared_ptr<const Object> state,
       chain.cls = state->class_id();
     }
     chain_len = ++chain.length;
+    // History or a tombstone to reclaim: queue the chain for the trimmer
+    // (the caller holds commit_mu_, which guards the queue).
+    if (!chain.queued && (chain.head->prev != nullptr || state == nullptr)) {
+      chain.queued = true;
+      trim_objects_.push_back(uid);
+    }
   });
   if (h_chain_length_ != nullptr) {
     h_chain_length_->Observe(chain_len);
@@ -298,6 +334,10 @@ void RecordStore::InstallGeneric(
     }
     record->prev = chain.head;
     chain.head = std::move(record);
+    if (!chain.queued && (chain.head->prev != nullptr || !chain.head->live)) {
+      chain.queued = true;
+      trim_generics_.push_back(uid);
+    }
   });
 }
 
@@ -386,58 +426,88 @@ std::vector<Uid> RecordStore::GenericsAt(uint64_t ts) const {
   return out;
 }
 
-size_t RecordStore::Trim(uint64_t min_active_ts) {
-  // (uid, class) pairs whose whole chain died; extent membership is pruned
-  // after the sweep so no shard latch is held across the two maps.
-  std::vector<std::pair<Uid, ClassId>> dead;
-  size_t trimmed = 0;
-
-  objects_.EraseIf([&](Uid uid, ObjectChain& chain) {
-    if (chain.head == nullptr) {
-      return true;
-    }
-    // Find the pivot: the newest record with commit_ts <= min.  Everything
-    // older is unreachable by any present or future reader.  The walk also
-    // recounts the chain so `length` (and the trimmed tally) stays exact.
-    ObjectRecord* pivot = nullptr;
-    uint32_t kept = 0;
-    uint32_t total = 0;
-    for (ObjectRecord* r = chain.head.get(); r != nullptr; r = r->prev.get()) {
-      ++total;
-      if (pivot == nullptr) {
-        ++kept;
-        if (r->commit_ts <= min_active_ts) {
-          pivot = r;
-        }
-      }
-    }
-    if (pivot != nullptr) {
-      pivot->prev = nullptr;
-      trimmed += total - kept;
-      chain.length = kept;
-    } else {
-      chain.length = total;
-    }
-    // A chain whose only record is a tombstone at/below the minimum will
-    // never be visible again: drop it entirely.
-    if (chain.head->prev == nullptr && chain.head->state == nullptr &&
-        chain.head->commit_ts <= min_active_ts) {
-      dead.emplace_back(uid, chain.cls);
-      trimmed += chain.length;
-      return true;
-    }
-    return false;
-  });
-  if (!dead.empty()) {
-    // A publication may have re-created one of these uids (RestoreObject /
-    // OverwriteRaw) since the sweep, re-inserting both the chain and its
-    // extent entry; erasing the entry then would make InstancesOfAt miss a
-    // live object forever.  Publications install under commit_mu_, so
-    // holding it here and re-checking chain absence makes the prune safe:
-    // an extent entry is only erased while its chain is provably still
-    // gone.  Lock order matches InstallObject (commit_mu_, then the shard
-    // latches).
+size_t RecordStore::Trim(uint64_t min_active_ts, size_t* chains_visited) {
+  LatchGuard pass(trim_mu_);
+  // Take the queue.  The uids stay marked `queued` until their chain has
+  // been visited, so a publication meanwhile does not queue them twice.
+  std::vector<Uid> objects;
+  std::vector<Uid> generics;
+  {
     LatchGuard commit(commit_mu_);
+    objects.swap(trim_objects_);
+    generics.swap(trim_generics_);
+  }
+  size_t trimmed = 0;
+  // (uid, class) pairs whose whole chain died; extent membership is pruned
+  // after the visits so no shard latch is held across the two maps.
+  std::vector<std::pair<Uid, ClassId>> dead;
+  std::vector<Uid> requeue_objects;
+  std::vector<Uid> requeue_generics;
+
+  for (Uid uid : objects) {
+    // Whatever the visit cuts off is released here, after the shard latch.
+    std::shared_ptr<ObjectRecord> garbage;
+    objects_.UpdateOrErase(uid, [&](ObjectChain& chain) {
+      const Pivot<ObjectRecord> p = FindPivot(chain.head.get(), min_active_ts);
+      // A chain whose newest record is a tombstone at/below the minimum
+      // will never be visible again: drop it entirely.
+      if (p.record == chain.head.get() && p.record->state == nullptr) {
+        dead.emplace_back(uid, chain.cls);
+        trimmed += p.total;
+        garbage = std::move(chain.head);
+        return true;
+      }
+      if (p.record != nullptr) {
+        garbage = std::move(p.record->prev);
+      }
+      trimmed += p.total - p.kept;
+      chain.length = p.kept;  // recounted, so `length` stays exact
+      if (p.kept > 1 || chain.head->state == nullptr) {
+        requeue_objects.push_back(uid);  // a pinned reader still needs it
+      } else {
+        chain.queued = false;
+      }
+      return false;
+    });
+  }
+  for (Uid uid : generics) {
+    std::shared_ptr<GenericRecord> garbage;
+    generics_.UpdateOrErase(uid, [&](GenericChain& chain) {
+      const Pivot<GenericRecord> p =
+          FindPivot(chain.head.get(), min_active_ts);
+      if (p.record == chain.head.get() && !p.record->live) {
+        trimmed += p.total;
+        garbage = std::move(chain.head);
+        return true;
+      }
+      if (p.record != nullptr) {
+        garbage = std::move(p.record->prev);
+      }
+      trimmed += p.total - p.kept;
+      if (p.kept > 1 || !chain.head->live) {
+        requeue_generics.push_back(uid);
+      } else {
+        chain.queued = false;
+      }
+      return false;
+    });
+  }
+
+  if (!dead.empty() || !requeue_objects.empty() ||
+      !requeue_generics.empty()) {
+    // Lock order matches InstallObject: commit_mu_, then the shard latches.
+    LatchGuard commit(commit_mu_);
+    trim_objects_.insert(trim_objects_.end(), requeue_objects.begin(),
+                         requeue_objects.end());
+    trim_generics_.insert(trim_generics_.end(), requeue_generics.begin(),
+                          requeue_generics.end());
+    // A publication may have re-created one of the dead uids (RestoreObject
+    // / OverwriteRaw) since its chain was dropped, re-inserting both the
+    // chain and its extent entry; erasing the entry then would make
+    // InstancesOfAt miss a live object forever.  Publications install under
+    // commit_mu_, so re-checking chain absence while holding it makes the
+    // prune safe: an extent entry is only erased while its chain is
+    // provably still gone.
     for (const auto& [uid, cls] : dead) {
       if (objects_.Contains(uid)) {
         continue;  // re-created; the new publication owns the extent entry
@@ -448,36 +518,11 @@ size_t RecordStore::Trim(uint64_t min_active_ts) {
     }
   }
 
-  generics_.EraseIf([&](Uid, GenericChain& chain) {
-    if (chain.head == nullptr) {
-      return true;
-    }
-    GenericRecord* pivot = nullptr;
-    uint32_t kept = 0;
-    for (GenericRecord* r = chain.head.get(); r != nullptr;
-         r = r->prev.get()) {
-      if (pivot == nullptr) {
-        ++kept;
-        if (r->commit_ts <= min_active_ts) {
-          pivot = r;
-        }
-      } else {
-        ++trimmed;
-      }
-    }
-    if (pivot != nullptr) {
-      pivot->prev = nullptr;
-    }
-    if (chain.head->prev == nullptr && !chain.head->live &&
-        chain.head->commit_ts <= min_active_ts) {
-      trimmed += kept;
-      return true;
-    }
-    return false;
-  });
-
   if (c_records_trimmed_ != nullptr && trimmed > 0) {
     c_records_trimmed_->Add(trimmed);
+  }
+  if (chains_visited != nullptr) {
+    *chains_visited = objects.size() + generics.size();
   }
 
   LatchGuard lg(listeners_mu_);
@@ -520,6 +565,23 @@ size_t RecordStore::record_count() const {
     }
   });
   return n;
+}
+
+size_t RecordStore::generic_record_count() const {
+  size_t n = 0;
+  generics_.ForEach([&](Uid, const GenericChain& chain) {
+    for (const GenericRecord* r = chain.head.get(); r != nullptr;
+         r = r->prev.get()) {
+      ++n;
+    }
+  });
+  return n;
+}
+
+size_t RecordStore::extent_member_count(ClassId cls) const {
+  return extent_members_.View(
+      cls, [](const std::unordered_set<Uid>& s) { return s.size(); },
+      size_t{0});
 }
 
 }  // namespace orion

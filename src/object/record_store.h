@@ -247,11 +247,17 @@ class RecordStore {
 
   /// Drops every record shadowed by a newer record with commit_ts <=
   /// `min_active_ts`, and whole chains whose visible state at
-  /// `min_active_ts` is a tombstone with nothing newer.  Safe to run
-  /// concurrently with publication and readers.  Returns the number of
+  /// `min_active_ts` is a tombstone with nothing newer.  Visits only the
+  /// chains on the trim queue — those that gained a second record or a
+  /// tombstone since they were last clean — one chain's shard latch at a
+  /// time, and queues again only those a reader pinned below their history
+  /// still keeps from collapsing.  Safe to run concurrently with
+  /// publication and readers; concurrent Trims run one after the other, so
+  /// a pass visits everything queued before it.  Returns the number of
   /// records (object + generic) discarded, so the reclaimer can surface
-  /// zero-progress passes.
-  size_t Trim(uint64_t min_active_ts);
+  /// zero-progress passes; `chains_visited`, if given, receives the number
+  /// of chains examined.
+  size_t Trim(uint64_t min_active_ts, size_t* chains_visited = nullptr);
 
   /// Both take the commit latch, so no publication is in flight while the
   /// list changes: once RemoveListener returns, the listener is never
@@ -265,6 +271,11 @@ class RecordStore {
   size_t record_count() const;
   /// Number of object chains.
   size_t chain_count() const { return objects_.size(); }
+  /// Total generic records across all chains, and the number of chains.
+  size_t generic_record_count() const;
+  size_t generic_chain_count() const { return generics_.size(); }
+  /// Uids in the extent membership set of `cls` (live or not).
+  size_t extent_member_count(ClassId cls) const;
 
  private:
   struct ObjectChain {
@@ -275,9 +286,15 @@ class RecordStore {
     /// Number of records in the chain (install increments, trim recounts);
     /// feeds the mvcc.chain_length histogram without walking the chain.
     uint32_t length = 0;
+    /// The uid is on `trim_objects_` or in a running Trim's batch.  Set by
+    /// install, cleared by Trim, both under the shard latch, so a chain is
+    /// queued at most once.
+    bool queued = false;
   };
   struct GenericChain {
     std::shared_ptr<GenericRecord> head;
+    /// As ObjectChain::queued, for `trim_generics_`.
+    bool queued = false;
   };
 
   struct TlsState {
@@ -319,6 +336,17 @@ class RecordStore {
   /// be taken.
   Latch commit_mu_{"recordstore.commit", LatchRank::kCommit};
   std::atomic<uint64_t> watermark_{0};
+
+  /// Serializes Trim, so a pass returns only after every chain queued
+  /// before it was visited (ReclaimOnce stays deterministic beside the
+  /// background reclaimer).
+  Latch trim_mu_{"recordstore.trim", LatchRank::kRecordTrim};
+  /// The trim queue: uids of chains that hold history or a tombstone.
+  /// Installs append (each chain once, see ObjectChain::queued) and Trim
+  /// swaps the lists out and puts back what it could not collapse.  Guarded
+  /// by commit_mu_.
+  std::vector<Uid> trim_objects_;
+  std::vector<Uid> trim_generics_;
 
   ShardedMap<Uid, ObjectChain> objects_{"recordstore.objects.shard",
                                         LatchRank::kRecordChainShard};

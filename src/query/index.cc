@@ -77,6 +77,9 @@ AttributeIndex::AttributeIndex(ObjectManager* objects, RecordStore* records,
         }
       }
       v.push_back(Posting{uid, 0, remove_ts});
+      if (remove_ts != kOpenTs) {
+        closed_.emplace_back(key, remove_ts);
+      }
     }
   });
 }
@@ -111,6 +114,7 @@ void AttributeIndex::ClosePosting(Uid uid, const std::string& key,
   for (Posting& p : it->second) {
     if (p.uid == uid && p.remove_ts == kOpenTs) {
       p.remove_ts = ts;
+      closed_.emplace_back(key, ts);
       return;
     }
   }
@@ -202,7 +206,23 @@ void AttributeIndex::OnTrim(uint64_t min_active_ts) {
   size_t vacuumed = 0;
   {
     LatchGuard g(mu_);
-    for (auto it = postings_.begin(); it != postings_.end();) {
+    auto due = std::partition(
+        closed_.begin(), closed_.end(),
+        [&](const std::pair<std::string, uint64_t>& c) {
+          return c.second > min_active_ts;
+        });
+    std::vector<std::string> keys;
+    for (auto c = due; c != closed_.end(); ++c) {
+      keys.push_back(std::move(c->first));
+    }
+    closed_.erase(due, closed_.end());
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    for (const std::string& key : keys) {
+      auto it = postings_.find(key);
+      if (it == postings_.end()) {
+        continue;
+      }
       std::vector<Posting>& v = it->second;
       const size_t before = v.size();
       v.erase(std::remove_if(v.begin(), v.end(),
@@ -213,9 +233,7 @@ void AttributeIndex::OnTrim(uint64_t min_active_ts) {
               v.end());
       vacuumed += before - v.size();
       if (v.empty()) {
-        it = postings_.erase(it);
-      } else {
-        ++it;
+        postings_.erase(it);
       }
     }
   }

@@ -40,7 +40,8 @@ struct IndexMetrics {
 /// candidates, not answers: both select paths re-verify each uid against
 /// the state they read, so a stale posting costs a wasted probe, never a
 /// wrong result.  A posting whose interval ends at or before the minimum
-/// active read timestamp is vacuumed on `OnTrim`.
+/// active read timestamp is vacuumed on `OnTrim`, which visits only the
+/// keys of postings closed since the previous vacuum, not the whole index.
 ///
 /// Thread-safe: listener callbacks arrive from whichever session thread
 /// commits, so the postings sit behind one mutex (a leaf latch — nothing
@@ -114,6 +115,10 @@ class AttributeIndex : public RecordStoreListener {
   /// and hashing; the deterministic ToString encoding is the key.  Guarded
   /// by mu_.
   std::map<std::string, std::vector<Posting>> postings_;
+  /// (key, remove_ts) of every closed posting not yet vacuumed: OnTrim
+  /// vacuums the keys whose entries fall at or below the minimum active
+  /// read timestamp.  Guarded by mu_.
+  std::vector<std::pair<std::string, uint64_t>> closed_;
 };
 
 /// Owns the indexes of one database and picks them up for query planning.

@@ -350,6 +350,113 @@ TEST_F(MvccTest, TrimBoundsChainsAndRespectsPinnedReaders) {
   ORION_EXPECT_CONSISTENT(db_);
 }
 
+// A chain that a pinned reader keeps from collapsing stays on the trim
+// queue across passes, so the first pass after the reader closes trims it
+// even though nothing was published in between.
+TEST_F(MvccTest, PinnedChainStaysQueuedAndTrimsAfterRelease) {
+  Uid p = *db_.Make("Part", {}, {{"N", Value::Integer(0)}});
+  Session session(&db_);
+  {
+    ReadTransaction pinned = session.BeginReadOnly();
+    for (int i = 1; i <= 5; ++i) {
+      ASSERT_TRUE(db_.objects().SetAttribute(p, "N", Value::Integer(i)).ok());
+    }
+    const Database::StatsSnapshot base = db_.Stats();
+    for (int pass = 0; pass < 3; ++pass) {
+      (void)db_.ReclaimOnce();
+      EXPECT_EQ((*pinned.Get(p))->Get("N").integer(), 0);
+      EXPECT_GT(db_.records().record_count(), db_.records().chain_count());
+    }
+    const Database::StatsSnapshot delta = db_.Stats().DeltaSince(base);
+    EXPECT_GE(delta.counters.at("reclaim.chains_visited"), 1u);
+  }
+  (void)db_.ReclaimOnce();
+  EXPECT_EQ(db_.records().record_count(), db_.records().chain_count());
+  EXPECT_EQ(db_.records().GetAt(p, db_.records().watermark())
+                ->Get("N")
+                .integer(),
+            5);
+}
+
+// A deleted object's chain and its extent entry both go once every reader
+// sees the tombstone; a uid re-created before the pass keeps both.
+TEST_F(MvccTest, TrimDropsDeadChainsAndTheirExtentEntries) {
+  Uid keep = *db_.Make("Part", {}, {{"N", Value::Integer(1)}});
+  Uid gone = *db_.Make("Part", {}, {{"N", Value::Integer(2)}});
+  Uid back = *db_.Make("Part", {}, {{"N", Value::Integer(3)}});
+  const Object back_copy = *db_.objects().Peek(back);
+  (void)db_.ReclaimOnce();
+  const size_t chains = db_.records().chain_count();
+  EXPECT_EQ(db_.records().extent_member_count(part_), 3u);
+
+  ASSERT_TRUE(db_.DeleteObject(gone).ok());
+  ASSERT_TRUE(db_.DeleteObject(back).ok());
+  ASSERT_TRUE(db_.objects().RestoreObject(back_copy).ok());
+  (void)db_.ReclaimOnce();
+
+  EXPECT_EQ(db_.records().chain_count(), chains - 1);
+  EXPECT_EQ(db_.records().extent_member_count(part_), 2u);
+  EXPECT_EQ(db_.records().record_count(), db_.records().chain_count());
+  Session session(&db_);
+  ReadTransaction r = session.BeginReadOnly();
+  EXPECT_EQ(r.InstancesOf(part_), (std::vector<Uid>{keep, back}));
+  EXPECT_FALSE(r.Exists(gone));
+  EXPECT_EQ((*r.Get(back))->Get("N").integer(), 3);
+}
+
+// Version-registry chains are queued and trimmed like object chains, and
+// a reader pinned below a derivation keeps the old version list.
+TEST_F(MvccTest, TrimCollapsesGenericChains) {
+  Uid v1 = *db_.Make("Doc");
+  const Uid generic = db_.objects().Peek(v1)->generic();
+  Session session(&db_, ContendedOptions());
+  {
+    ReadTransaction pinned = session.BeginReadOnly();
+    for (int i = 0; i < 3; ++i) {
+      Status s = session.Run([&](TransactionContext& txn) -> Status {
+        return txn.Derive(v1).status();
+      });
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+    (void)db_.ReclaimOnce();
+    EXPECT_GT(db_.records().generic_record_count(),
+              db_.records().generic_chain_count());
+    EXPECT_EQ(pinned.VersionsOf(generic)->first.size(), 1u);
+  }
+  (void)db_.ReclaimOnce();
+  EXPECT_EQ(db_.records().generic_chain_count(), 1u);
+  EXPECT_EQ(db_.records().generic_record_count(), 1u);
+  ReadTransaction later = session.BeginReadOnly();
+  EXPECT_EQ(later.VersionsOf(generic)->first.size(), 4u);
+  ORION_EXPECT_CONSISTENT(db_);
+}
+
+// With no reader open, one pass leaves every chain at one record whatever
+// mix of creates, updates, deletes and re-creations came before it.
+TEST_F(MvccTest, OneQuietPassLeavesOneRecordPerChain) {
+  std::vector<Uid> parts;
+  Uid root = *db_.Make("Node", {}, {{"Counter", Value::Integer(0)}});
+  for (int i = 0; i < 8; ++i) {
+    parts.push_back(*db_.Make("Part", {{root, "Parts"}},
+                              {{"N", Value::Integer(i)}}));
+  }
+  for (int i = 0; i < 8; ++i) {
+    CommitSet(parts[i], "N", 100 + i);
+    CommitSet(root, "Counter", i);
+  }
+  Session session(&db_);
+  for (int i = 0; i < 8; i += 2) {
+    Status s = session.Run([&](TransactionContext& txn) -> Status {
+      return txn.Delete(parts[i]);
+    });
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  (void)db_.ReclaimOnce();
+  EXPECT_EQ(db_.records().record_count(), db_.records().chain_count());
+  EXPECT_EQ(db_.records().chain_count(), 5u);  // the root and 4 parts
+  ORION_EXPECT_CONSISTENT(db_);
+}
+
 // Satellite 1: a session that cannot make progress gives up with kTimeout
 // (the retry budget), not with the per-attempt kLockTimeout.
 TEST_F(MvccTest, RetryBudgetExhaustionReturnsTimeout) {
@@ -585,6 +692,109 @@ TEST_F(MvccConcurrencyTest, SaveSnapshotWhileWritersCommit) {
 
   EXPECT_EQ(write_failures.load(), 0);
   EXPECT_GE(snapshots, 1);
+  EXPECT_EQ(db_.locks().grant_count(), 0u);
+  ORION_EXPECT_CONSISTENT(db_);
+}
+
+// Two publishers, two snapshot readers and two explicit reclaim loops run
+// beside the background reclaimer, so Trims overlap each other and every
+// publication.  A reader's values at its read_ts must never change, and
+// once everyone is done one pass leaves one record per chain.
+TEST_F(MvccTest, ConcurrentReclaimWithPublishersAndSnapshotReaders) {
+  constexpr int kPublishers = 2;
+  constexpr int kPartsEach = 4;
+  std::vector<std::vector<Uid>> owned(kPublishers);
+  for (int t = 0; t < kPublishers; ++t) {
+    for (int i = 0; i < kPartsEach; ++i) {
+      owned[t].push_back(*db_.Make("Part", {}, {{"N", Value::Integer(0)}}));
+    }
+  }
+
+  std::atomic<int> publishers_done{0};
+  std::atomic<int> failures{0};
+  std::atomic<int> changed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kPublishers; ++t) {
+    threads.emplace_back([&, t] {
+      Session session(&db_, ContendedOptions());
+      for (int i = 1; i <= kItersPerThread * 2; ++i) {
+        Status s = session.Run([&](TransactionContext& txn) -> Status {
+          for (Uid p : owned[t]) {
+            ORION_RETURN_IF_ERROR(txn.SetAttribute(p, "N", Value::Integer(i)));
+          }
+          return Status::Ok();
+        });
+        // A short-lived object leaves a tombstone chain behind for the
+        // trimmers to drop.
+        Uid temp;
+        Status churn = session.Run([&](TransactionContext& txn) -> Status {
+          ORION_ASSIGN_OR_RETURN(
+              temp, txn.Make("Part", {}, {{"N", Value::Integer(-i)}}));
+          return Status::Ok();
+        });
+        if (churn.ok()) {
+          churn = session.Run([&](TransactionContext& txn) -> Status {
+            return txn.Delete(temp);
+          });
+        }
+        if (!s.ok() || !churn.ok()) {
+          ++failures;
+        }
+      }
+      publishers_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      Session session(&db_);
+      while (publishers_done.load(std::memory_order_acquire) < kPublishers) {
+        ReadTransaction r = session.BeginReadOnly();
+        std::vector<int64_t> first;
+        for (const auto& parts : owned) {
+          for (Uid p : parts) {
+            first.push_back((*r.Get(p))->Get("N").integer());
+          }
+        }
+        const size_t extent = r.InstancesOf(part_).size();
+        for (int again = 0; again < 4; ++again) {
+          std::this_thread::yield();
+          size_t k = 0;
+          for (const auto& parts : owned) {
+            for (Uid p : parts) {
+              auto obj = r.Get(p);
+              if (!obj.ok() || (*obj)->Get("N").integer() != first[k]) {
+                ++changed;
+              }
+              ++k;
+            }
+          }
+          if (r.InstancesOf(part_).size() != extent) {
+            ++changed;
+          }
+        }
+      }
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      while (publishers_done.load(std::memory_order_acquire) < kPublishers) {
+        (void)db_.ReclaimOnce();
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(changed.load(), 0);
+  (void)db_.ReclaimOnce();
+  EXPECT_EQ(db_.records().record_count(), db_.records().chain_count());
+  EXPECT_EQ(db_.records().chain_count(),
+            static_cast<size_t>(kPublishers * kPartsEach));
+  EXPECT_EQ(db_.records().extent_member_count(part_),
+            static_cast<size_t>(kPublishers * kPartsEach));
   EXPECT_EQ(db_.locks().grant_count(), 0u);
   ORION_EXPECT_CONSISTENT(db_);
 }

@@ -494,6 +494,21 @@ TEST_F(ObservabilityEngineTest, ReclaimPassesFeedCountersAndGauges) {
   EXPECT_EQ(quiet_delta.counters.at("reclaim.passes"),
             quiet_delta.counters.at("reclaim.zero_passes"));
   EXPECT_EQ(db_.Stats().gauges.at("reclaim.last_trimmed"), 0);
+  // ...and visits no chain: a pass costs what changed, not the store.
+  EXPECT_EQ(quiet_delta.counters.at("reclaim.chains_visited"), 0u);
+
+  // A thousand updates of one object queue its chain once, so no pass
+  // visits more than that one chain, and the next pass collapses it.
+  const Database::StatsSnapshot busy = db_.Stats();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(db_.objects().SetAttribute(root, "N", Value::Integer(i)).ok());
+  }
+  (void)db_.ReclaimOnce();
+  const Database::StatsSnapshot busy_delta = db_.Stats().DeltaSince(busy);
+  EXPECT_GE(busy_delta.counters.at("reclaim.chains_visited"), 1u);
+  EXPECT_LE(busy_delta.counters.at("reclaim.chains_visited"),
+            busy_delta.counters.at("reclaim.passes"));
+  EXPECT_EQ(db_.records().record_count(), db_.records().chain_count());
 }
 
 // The tracker's Reset() is a baseline offset over the monotonic registry

@@ -205,6 +205,27 @@ TEST_F(QueryTest, IndexStaysCurrentUnderMutations) {
   ASSERT_TRUE(db_.DeleteObject(fresh).ok());
   EXPECT_TRUE(index->Lookup(Value::String("Renamed")).empty());
   EXPECT_EQ(index->entry_count(), before);
+
+  // Vacuum visits the closed postings only: after a clean pass, k closes
+  // (three renames of one book) are vacuumed as exactly k postings by the
+  // passes that follow, and the open view does not change.
+  (void)db_.ReclaimOnce();
+  EXPECT_EQ(index->versioned_entry_count(), index->entry_count());
+  const Database::StatsSnapshot base = db_.Stats();
+  for (const char* title : {"Draft 1", "Draft 2", "Draft 3"}) {
+    ASSERT_TRUE(
+        om().SetAttribute(cheap_, "Title", Value::String(title)).ok());
+  }
+  (void)db_.ReclaimOnce();
+  EXPECT_EQ(
+      db_.Stats().DeltaSince(base).counters.at("index.postings_vacuumed"), 3u);
+  EXPECT_EQ(index->versioned_entry_count(), index->entry_count());
+  EXPECT_EQ(index->entry_count(), before);
+  EXPECT_EQ(index->Lookup(Value::String("Draft 3")),
+            std::vector<Uid>{cheap_});
+  EXPECT_TRUE(index->Lookup(Value::String("Intro to Data")).empty());
+  EXPECT_EQ(index->Lookup(Value::String("ORION Internals")),
+            std::vector<Uid>{orion_});
 }
 
 TEST_F(QueryTest, SuperclassIndexCoversSubclassWithPostFilter) {

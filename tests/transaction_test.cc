@@ -296,6 +296,63 @@ TEST_F(TransactionTest, CompositeReadLocksRootClassComponentsItself) {
             StatusCode::kLockTimeout);
 }
 
+// Deletion rides the same rule: the composite write lock's class locks name
+// the domain classes only, so a doomed component that is an instance of a
+// subclass is X-locked itself, and a writer holding it keeps the deletion
+// out until it commits.
+TEST_F(TransactionTest, DeleteLocksSubclassComponentsItself) {
+  const ClassId asm_cls = *db_.MakeClass(ClassSpec{
+      .name = "Asm",
+      .attributes = {CompositeAttr("Parts", "Part", /*exclusive=*/true,
+                                   /*dependent=*/true, /*is_set=*/true)}});
+  const ClassId special = *db_.MakeClass(ClassSpec{
+      .name = "SpecialPart",
+      .superclasses = {"Part"},
+      .attributes = {WeakAttr("W", "integer")}});
+  const Uid root = *db_.objects().Make(asm_cls, {}, {});
+  const Uid component = *db_.objects().Make(special, {{root, "Parts"}}, {});
+
+  TransactionContext writer(&db_);
+  ASSERT_TRUE(writer.SetAttribute(component, "W", Value::Integer(1)).ok());
+  TransactionContext deleter(&db_);
+  EXPECT_EQ(deleter.Delete(root).code(), StatusCode::kLockTimeout);
+  ASSERT_TRUE(deleter.Abort().ok());
+  ASSERT_TRUE(writer.Commit().ok());
+
+  TransactionContext retry(&db_);
+  ASSERT_TRUE(retry.Delete(root).ok());
+  ASSERT_TRUE(retry.Commit().ok());
+  EXPECT_FALSE(db_.objects().Exists(component));
+  EXPECT_EQ(db_.locks().grant_count(), 0u);
+  ORION_EXPECT_CONSISTENT(db_);
+}
+
+// The same for a recursive hierarchy: a doomed component of the root's own
+// class is outside the composite lock and is X-locked itself.
+TEST_F(TransactionTest, DeleteLocksRootClassComponentsItself) {
+  const ClassId cog = *db_.MakeClass(ClassSpec{
+      .name = "Cog",
+      .attributes = {CompositeAttr("Sub", "Cog", /*exclusive=*/true,
+                                   /*dependent=*/true, /*is_set=*/true),
+                     WeakAttr("W", "integer")}});
+  const Uid root = *db_.objects().Make(cog, {}, {});
+  const Uid sub = *db_.objects().Make(cog, {{root, "Sub"}}, {});
+
+  TransactionContext writer(&db_);
+  ASSERT_TRUE(writer.SetAttribute(sub, "W", Value::Integer(1)).ok());
+  TransactionContext deleter(&db_);
+  EXPECT_EQ(deleter.Delete(root).code(), StatusCode::kLockTimeout);
+  ASSERT_TRUE(deleter.Abort().ok());
+  ASSERT_TRUE(writer.Commit().ok());
+
+  TransactionContext retry(&db_);
+  ASSERT_TRUE(retry.Delete(root).ok());
+  ASSERT_TRUE(retry.Commit().ok());
+  EXPECT_FALSE(db_.objects().Exists(sub));
+  EXPECT_EQ(db_.locks().grant_count(), 0u);
+  ORION_EXPECT_CONSISTENT(db_);
+}
+
 // Reading components without instance locks must not let writers in: the
 // component-class locks of §7 still exclude a direct writer of a
 // grandchild, a structural change below the root, and a second root's
